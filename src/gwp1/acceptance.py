@@ -334,9 +334,9 @@ def _permutation_keys():
             g = rng.choice([g for g in (0, 1) if sum(ins) + 2 - 2 * g >= 0])
             keys.append((k, ins, g))
     keys.append((4, (0, 1, 1, 2), 0))
-    keys.append((4, (1, 1, 1, 1), 0))
+    keys += [(4, (1, 1, 1, 1), g) for g in range(4)]
     keys.append((4, (0, 0, 1, 1), 0))
-    keys.append((4, (2, 1, 1, 0), 1))
+    keys += [(4, (2, 1, 1, 0), g) for g in (1, 2)]
     return keys
 
 
@@ -351,18 +351,21 @@ def criterion_11() -> CriterionResult:
             if not coeff.is_zero():
                 parity_ok = False
         checks.append((f"parity vanishing on {len(pk)} keys", parity_ok and len(pk) >= 50))
-        # permutation symmetry
+        # permutation symmetry; the shuffled key is read in a shuffled region,
+        # so a key with equal ladders still compares two different contractions
         perm_ok = True
         import random
 
         rng = random.Random(77)
+        region_rng = random.Random(78)
         n_perm = 0
         for k, ins, g in _permutation_keys():
             base = correlators.extract_invariant(CorrelatorKey(k=k, insertions=ins, g=g))
             shuffled = list(ins)
             rng.shuffle(shuffled)
             other = correlators.extract_invariant(
-                CorrelatorKey(k=k, insertions=tuple(shuffled), g=g)
+                CorrelatorKey(k=k, insertions=tuple(shuffled), g=g),
+                region=tuple(region_rng.sample(range(1, k + 1), k)),
             )
             n_perm += 1
             if base.value != other.value:

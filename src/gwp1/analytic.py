@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 
 import mpmath
 
 from gwp1.ring.mat2 import Mat2
-from gwp1.ring.numbers import bernoulli_number
+from gwp1.ring.numbers import bernoulli_number, coset_reps
 
 DEFAULT_BITS = 128
 SINGULARITY_MARGIN = 1e-6
@@ -408,11 +407,6 @@ def kernel_Dstar(pc: PrecisionContext, a, b, s):
 # ---------------------------------------------------------------------------
 
 
-def _coset_reps(k: int):
-    for rest in permutations(range(1, k)):
-        yield (0,) + rest
-
-
 def h_k(pc: PrecisionContext, zs, s, route: str = "trace"):
     """Analytic k-point function (k >= 2) by the trace-product or the
     factorized kernel route; includes the double-pole subtraction at k = 2.
@@ -432,7 +426,7 @@ def h_k(pc: PrecisionContext, zs, s, route: str = "trace"):
     total = ctx.mpc(0)
     if route == "trace":
         Bs = [matrix_B(pc, z, s) for z in zs]
-        for sigma in _coset_reps(k):
+        for sigma in coset_reps(k, first=0):
             prod = Bs[sigma[0]]
             for i in sigma[1:]:
                 prod = prod * Bs[i]
@@ -448,7 +442,7 @@ def h_k(pc: PrecisionContext, zs, s, route: str = "trace"):
                 cache[(i, j)] = kernel_D(pc, zs[i], zs[j], s, route="series")
             return cache[(i, j)]
 
-        for sigma in _coset_reps(k):
+        for sigma in coset_reps(k, first=0):
             prod = ctx.mpc(1)
             for i in range(k):
                 prod *= dk(sigma[i], sigma[(i + 1) % k])
@@ -485,7 +479,7 @@ def _h_k_near_diagonal(pc: PrecisionContext, zs, s):
     zk = zz[-1]
     Bk = Bs[-1]
     total = ctx.mpc(0)
-    for sigma in _coset_reps(k - 1):
+    for sigma in coset_reps(k - 1, first=0):
         for jpos in range(k - 1):
             prod = None
             for t in range(k - 1):

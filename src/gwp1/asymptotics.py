@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from itertools import permutations
 from math import factorial
 
 import mpmath
@@ -24,6 +23,7 @@ import mpmath
 from gwp1 import analytic
 from gwp1.analytic import PrecisionContext, required_bits
 from gwp1.exprtree import TableEntryError, eval_numeric, validate_tree
+from gwp1.ring.numbers import coset_reps
 from gwp1.ring.poly import MultiPoly
 from gwp1.ring.ratfun import FactoredRatFun, diff_factor, lam_eps_factor
 from gwp1.ring.series import MultiSeries
@@ -120,11 +120,6 @@ def _kernel_q_terms(k: int, i: int, j: int, D: int):
     return out
 
 
-def _coset_reps(k: int):
-    for rest in permutations(range(2, k + 1)):
-        yield (1,) + rest
-
-
 # ---------------------------------------------------------------------------
 # regime containers
 # ---------------------------------------------------------------------------
@@ -207,7 +202,7 @@ def expand_q0(k: int, D: int) -> RegimeExpansion:
             if i != j:
                 kernels[(i, j)] = _kernel_q_terms(k, i, j, D)
     acc = [FactoredRatFun.zero(vars_, laurent) for _ in range(D + 1)]
-    for sigma in _coset_reps(k):
+    for sigma in coset_reps(k):
         prod = [FactoredRatFun.from_const(vars_, 1, laurent)]
         for pos in range(k):
             nxt = [FactoredRatFun.zero(vars_, laurent) for _ in range(D + 1)]

@@ -46,8 +46,11 @@ def _cache_read(cache_dir: str, key: str):
     path = os.path.join(cache_dir, key + ".json")
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        entry = json.load(fh)
+    try:
+        with open(path) as fh:
+            entry = json.load(fh)
+    except ValueError:
+        return None  # corrupt file: a miss, recomputed and overwritten
     return entry.get("payload")
 
 
@@ -258,13 +261,18 @@ def one_point_cmd(ctx, order, route):
                 compute)
 
 
+# (fewest, most) complex arguments per eval op; Hk takes k >= 2 points and s
+EVAL_ARITY = {"G": (2, 2), "Gt": (2, 2), "j": (2, 2), "J": (2, 2), "B": (2, 2),
+              "D": (3, 3), "Dstar": (3, 3), "H1": (2, 2), "H1star": (2, 2),
+              "Hk": (3, None)}
+
+
 def _parse_complex(txt: str) -> complex:
     return complex(txt.replace(" ", "").replace("i", "j"))
 
 
 @main.command("eval")
-@click.option("--op", type=click.Choice(
-    ["G", "Gt", "j", "J", "B", "D", "Dstar", "H1", "H1star", "Hk"]), required=True)
+@click.option("--op", type=click.Choice(list(EVAL_ARITY)), required=True)
 @click.option("--args", "args_", required=True,
               help="semicolon-separated complex arguments, e.g. '0.3;1.1'")
 @click.option("--route", default=None, help="trace|factorized (Hk), series|product|both (D)")
@@ -275,6 +283,11 @@ def eval_cmd(ctx, op, args_, route):
         vals = [_parse_complex(v) for v in args_.split(";") if v.strip()]
     except ValueError as exc:
         click.echo(f"bad arguments: {exc}", err=True)
+        sys.exit(EXIT_VALIDATION)
+    fewest, most = EVAL_ARITY[op]
+    if len(vals) < fewest or (most is not None and len(vals) > most):
+        want = f"{fewest}" if fewest == most else f"at least {fewest}"
+        click.echo(f"bad arguments: {op} takes {want} arguments, got {len(vals)}", err=True)
         sys.exit(EXIT_VALIDATION)
 
     def compute():

@@ -3,12 +3,15 @@
 The k-point series is assembled from cyclic-coset sums of traces of the
 bispectrally substituted resolvent, with every pairwise pole expanded
 geometrically in a declared region of the spectral variables.  Extraction of
-a single invariant never materializes the full multivariate series: a pruned
-enumeration walks the cycle of matrix factors and geometric expansions and
-accumulates exactly the finitely many contributions to one target monomial.
+a single invariant never materializes the full multivariate series: for each
+coset, a transfer-matrix pass contracts the trace of the k matrix factors
+position by position for the one target monomial, merging every path that
+reaches the same (geometric power, row) state.  When one invariant is read,
+every product is truncated at its x and eps degrees.
 
 The one-point series has its own production formula (Bernoulli-difference
-form) plus two independently organized routes used as oracles.
+form) plus two independently organized routes used as oracles; an invariant
+reads a single coefficient of it.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from math import comb, factorial
 
 from gwp1.resolvent import closed_form_M
-from gwp1.ring.numbers import bernoulli_number, bernoulli_poly
+from gwp1.ring.numbers import bernoulli_number, bernoulli_poly, coset_reps
 from gwp1.ring.poly import MultiPoly
 from gwp1.ring.series import MultiSeries
 
@@ -141,12 +144,6 @@ def _m_entries_x_capped(N: int, x_cap: int):
     return out, avail
 
 
-def _coset_reps(k: int):
-    """One representative per cyclic coset: permutations fixing the first slot."""
-    for rest in permutations(range(2, k + 1)):
-        yield (1,) + rest
-
-
 @dataclass(frozen=True)
 class FkSeries:
     k: int
@@ -167,14 +164,24 @@ class FkSeries:
 
 
 def _fk_coefficient(
-    k: int, targets: dict, region: tuple, resolvent_order: int, x_cap: int | None = None
+    k: int, targets: dict, region: tuple, resolvent_order: int,
+    x_cap: int | None = None, eps_cap: int | None = None,
 ) -> MultiPoly:
     """Coefficient of prod_v lam_v^-targets[v] in the k-point assembly.
 
+    Each coset contributes the trace of a product of k matrix factors.  The
+    factor at a position takes the lam-index left over by the geometric
+    powers m of its two incident edges (minus m + 1 at the edge's larger
+    variable, plus m at the smaller), so the product is contracted as a
+    transfer matrix over states (m of the edge just crossed, row entering the
+    next factor).  Each pass fixes the state of the last edge, pushes a sparse
+    {state: MultiPoly} map through the k positions and closes on that state.
+
     Matrix indices around any cycle sum to (sum targets) - k exactly, which
-    bounds the enumeration and guarantees the conservative resolvent order
-    policy is sufficient.  With ``x_cap`` set, terms of higher x-degree are
-    dropped throughout (sound when only that Taylor coefficient is read).
+    bounds the contraction and guarantees the conservative resolvent order
+    policy is sufficient.  With ``x_cap`` or ``eps_cap`` set, every product
+    drops terms above that x or eps degree; entry exponents of both are
+    non-negative, so this is sound when only terms within the caps are read.
     """
     if x_cap is None:
         entries, avail = _m_entries_in_lambda(resolvent_order)
@@ -186,6 +193,7 @@ def _fk_coefficient(
         raise InsufficientOrderError(
             f"need resolvent order {j_max}, computed only {avail}"
         )
+    caps = (x_cap, eps_cap)
     rank = {v: i for i, v in enumerate(region)}
     total = _xe_zero()
     one_poly = _xe_const(1)
@@ -193,64 +201,47 @@ def _fk_coefficient(
     # feasible edge power exceeds the total budget plus slack
     m_cap = T + k + 2
 
-    for sigma in _coset_reps(k):
+    for sigma in coset_reps(k):
+        # the trace is cyclic: start at the region's largest variable, the
+        # larger end of both its edges, which bounds the starting power
+        top = sigma.index(region[0])
+        sigma = sigma[top:] + sigma[:top]
         # edge i joins position i and i+1 (mod k); sign flips when the edge
-        # is expanded on the swapped ordering
-        edges = []
+        # is expanded on the swapped ordering.  Per position: the target and
+        # whether the variable there is the larger end of the edge before it
+        # and of the edge after it.
+        his = []
         sign = 1
         for i in range(k):
             a, b = sigma[i], sigma[(i + 1) % k]
-            hi, lo = (a, b) if rank[a] < rank[b] else (b, a)
+            hi = a if rank[a] < rank[b] else b
             if hi == b:
                 sign = -sign
-            edges.append((hi, lo))
-
-        def idx_at(pos: int, m_prev: int, m_here: int) -> int:
-            # lam-index consumed by the matrix factor at this position
-            v = sigma[pos]
-            j = targets[v]
-            for e_i, m in ((pos - 1, m_prev), (pos, m_here)):
-                hi, lo = edges[e_i % k]
-                if v == hi:
-                    j -= m + 1
-                else:
-                    j += m
-            return j
-
-        for chain in product((0, 1), repeat=k):
-            ent = [entries[(chain[i], chain[(i + 1) % k])] for i in range(k)]
-            acc = _xe_zero()
-
-            def walk(pos: int, m0: int, m_prev: int, partial: MultiPoly):
-                nonlocal acc
-                if pos == k:
-                    j0 = idx_at(0, m_prev, m0)
-                    if 0 <= j0 <= j_max:
-                        c = ent[0].get(j0)
-                        if c is not None:
-                            acc = acc + partial * c
-                    return
-                for m in range(0, m_cap + 1):
-                    j = idx_at(pos, m_prev, m)
-                    v = sigma[pos]
-                    hi = edges[pos][0]
-                    if v == hi and j < 0:
-                        break  # j decreases with m
-                    if v != hi and j > j_max:
-                        break  # j increases with m
-                    if 0 <= j <= j_max:
-                        c = ent[pos].get(j)
-                        if c is not None:
-                            p = partial * c
-                            if x_cap is not None:
-                                p = _truncate_x(p, x_cap)
-                            if not p.is_zero():
-                                walk(pos + 1, m0, m, p)
-
-            # choose m for edge 0 (between positions 0 and 1), then walk
-            for m0 in range(0, m_cap + 1):
-                walk(1, m0, m0, one_poly)
-            total = total + acc * Fraction(sign)
+            his.append(hi)
+        steps = [(targets[v], his[pos - 1] == v, his[pos] == v) for pos, v in enumerate(sigma)]
+        trace = _xe_zero()
+        for m_end, row_end in product(range(0, m_cap + 1), (0, 1)):
+            states = {(m_end, row_end): one_poly}
+            for pos, (t, prev_hi, here_hi) in enumerate(steps):
+                nxt: dict[tuple, MultiPoly] = {}
+                for (m_prev, row), poly in states.items():
+                    base = t - m_prev - 1 if prev_hi else t + m_prev
+                    if pos == k - 1:  # close the cycle on the starting state
+                        moves = [(base - m_end - 1 if here_hi else base + m_end, row_end)]
+                    else:
+                        moves = [(j, col) for col in (0, 1) for j in entries[(row, col)]]
+                    for j, col in moves:
+                        m = base - 1 - j if here_hi else j - base
+                        c = entries[(row, col)].get(j)
+                        if c is None or j > j_max or not 0 <= m <= m_cap:
+                            continue
+                        p = poly.mul_truncated(c, caps)
+                        if p:
+                            nxt[(m, col)] = nxt[(m, col)] + p if (m, col) in nxt else p
+                states = nxt
+            if states:
+                trace = trace + states[(m_end, row_end)]
+        total = total + trace * Fraction(sign)
 
     result = -total
     if k == 2:
@@ -299,14 +290,18 @@ def f_k_series(k: int, orders, region: tuple | None = None) -> FkSeries:
 
 
 def f_k_polar_coefficient(
-    k: int, targets, region: tuple | None = None, x_cap: int | None = None
+    k: int, targets, region: tuple | None = None,
+    x_cap: int | None = None, eps_cap: int | None = None,
 ) -> MultiPoly:
-    """Single coefficient at an arbitrary (possibly polar) multi-index."""
+    """Single coefficient at an arbitrary (possibly polar) multi-index.
+
+    With ``x_cap`` or ``eps_cap`` set, only the terms up to that x or eps
+    degree are computed and returned."""
     if region is None:
         region = tuple(range(1, k + 1))
     tmap = {v: int(t) for v, t in zip(range(1, k + 1), targets)}
     n_res = resolvent_order_policy(k, [max(t, 0) for t in tmap.values()])
-    return _fk_coefficient(k, tmap, region, n_res, x_cap)
+    return _fk_coefficient(k, tmap, region, n_res, x_cap, eps_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -314,34 +309,38 @@ def f_k_polar_coefficient(
 # ---------------------------------------------------------------------------
 
 
-def _u_shift_poly(c: Fraction) -> MultiPoly:
-    """The substitution value x/eps + c."""
-    return MultiPoly(XE_VARS, {(1, -1): Fraction(1), (0, 0): Fraction(c)}, XE_LAURENT)
+def _one_point_coefficient(j: int) -> MultiPoly:
+    """Coefficient of lam**-j (j >= 2) in the one-point series:
+
+        eps^j/j sum_{i=0}^{[j/2]} eps^(-1-2i)/i!^2
+            sum_{l=0}^{2i} (-1)^l C(2i, l) B_j(x/eps + i - l + 1/2)
+
+    Each B_j(u + c) comes from a shift of B_j in u, and u**n then maps to
+    x**n eps**-n.  The inner sum is a (2i)-th backward difference of a
+    degree-j polynomial, so it vanishes for 2i > j and the i-sum is
+    legitimately truncated.
+    """
+    bj = bernoulli_poly(j)
+    terms = {}
+    for i in range(0, j // 2 + 1):
+        inner = MultiPoly.zero(bj.vars)
+        for ell in range(0, 2 * i + 1):
+            shifted = bj.subs_shift("u", Fraction(2 * (i - ell) + 1, 2))
+            inner = inner + shifted * Fraction((-1) ** ell * comb(2 * i, ell))
+        scale = Fraction(1, factorial(i) ** 2 * j)
+        for (n,), c in inner.terms.items():
+            terms[(n, j - 1 - 2 * i - n)] = c * scale
+    return MultiPoly(XE_VARS, terms, XE_LAURENT)
 
 
 def one_point_series(N: int) -> MultiSeries:
-    """One-point series through lam**-N by the Bernoulli-difference formula:
-
-        sum_{j>=2} eps^j/(j lam^j) sum_{i=0}^{[j/2]} eps^(-1-2i)/i!^2
-            sum_{l=0}^{2i} (-1)^l C(2i, l) B_j(x/eps + i - l + 1/2)
-
-    The inner sum is a (2i)-th backward difference of a degree-j polynomial,
-    so it vanishes for 2i > j and the i-sum is legitimately truncated.
-    """
+    """One-point series through lam**-N by the Bernoulli-difference formula
+    (see :func:`_one_point_coefficient`)."""
     if N < 2:
         raise ValueError("N must be >= 2")
     out: dict[tuple, MultiPoly] = {}
     for j in range(2, N + 1):
-        bj = bernoulli_poly(j)
-        coeff = _xe_zero()
-        for i in range(0, j // 2 + 1):
-            inner = _xe_zero()
-            for ell in range(0, 2 * i + 1):
-                val = bj.subs_poly("u", _u_shift_poly(Fraction(2 * (i - ell) + 1, 2)))
-                inner = inner + val * Fraction((-1) ** ell * comb(2 * i, ell))
-            scale = Fraction(1, factorial(i) ** 2)
-            coeff = coeff + inner * _xe_mono(0, j - 1 - 2 * i, scale)
-        coeff = coeff * Fraction(1, j)
+        coeff = _one_point_coefficient(j)
         if not coeff.is_zero():
             out[(j,)] = coeff
     return MultiSeries(("lam",), (N,), out, ring=RING_XE)
@@ -523,10 +522,6 @@ class InvariantResult:
         }
 
 
-def _select_eps_power(poly: MultiPoly, x_power: int, eps_power: int) -> Fraction:
-    return poly.terms.get((x_power, eps_power), Fraction(0))
-
-
 def extract_invariant(key: CorrelatorKey, region: tuple | None = None) -> InvariantResult:
     """Read one stationary invariant off the exact generating series.
 
@@ -542,11 +537,9 @@ def extract_invariant(key: CorrelatorKey, region: tuple | None = None) -> Invari
         norm /= factorial(i + 1)
     eps_target = 2 * key.g - 2 + key.k
     if key.k == 1:
-        n = key.insertions[0] + 2
-        series = one_point_series(n)
-        coeff = series.coefficient_or((n,), _xe_zero())
+        coeff = _one_point_coefficient(key.insertions[0] + 2)
     else:
         targets = [i + 2 for i in key.insertions]
-        coeff = f_k_polar_coefficient(key.k, targets, region, x_cap=key.m)
-    value = _select_eps_power(coeff, key.m, eps_target) * norm
+        coeff = f_k_polar_coefficient(key.k, targets, region, x_cap=key.m, eps_cap=eps_target)
+    value = coeff.terms.get((key.m, eps_target), Fraction(0)) * norm
     return InvariantResult(key=key, value=value, d=fd, structural_zero=False)

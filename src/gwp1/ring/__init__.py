@@ -7,7 +7,6 @@ from gwp1.ring.numbers import (
     rat_from_str,
     rat_to_str,
     binomial,
-    falling_binomial,
     bernoulli_number,
     bernoulli_poly,
     pochhammer,
@@ -22,7 +21,6 @@ __all__ = [
     "rat_from_str",
     "rat_to_str",
     "binomial",
-    "falling_binomial",
     "bernoulli_number",
     "bernoulli_poly",
     "pochhammer",

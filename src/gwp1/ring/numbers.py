@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 Rational = Fraction
@@ -40,21 +41,11 @@ def binomial(n: int, k: int) -> int:
     return (-1) ** k * comb(k - n - 1, k)
 
 
-def falling_binomial(x: Fraction, k: int) -> Fraction:
-    """C(x, k) = x(x-1)...(x-k+1)/k! for rational x."""
-    if k < 0:
-        return _ZERO
-    num = _ONE
-    for i in range(k):
-        num *= x - i
-    return num / _factorial(k)
-
-
-def _factorial(n: int) -> int:
-    r = 1
-    for i in range(2, n + 1):
-        r *= i
-    return r
+def coset_reps(k: int, first: int = 1):
+    """One ordering per cyclic coset of the k labels first, ..., first + k - 1:
+    the orderings that keep ``first`` in front."""
+    for rest in permutations(range(first + 1, first + k)):
+        yield (first,) + rest
 
 
 def pochhammer(x, k: int):

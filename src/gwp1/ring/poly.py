@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add, le
 from typing import Iterable, Mapping
 
 _ZERO = Fraction(0)
@@ -137,6 +138,27 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
+    def mul_truncated(self, other: "MultiPoly", caps) -> "MultiPoly":
+        """The product with every term above ``caps`` dropped, without forming
+        those terms.  ``caps`` holds one maximum exponent per variable, or
+        None where that variable is not capped."""
+        self._compat(other)
+        lim = tuple(c if c is not None else float("inf") for c in caps)
+        if len(lim) != len(self.vars):
+            raise ValueError("one cap per variable required")
+        terms: dict[tuple, Fraction] = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = tuple(map(add, ea, eb))
+                if not all(map(le, e, lim)):
+                    continue
+                s = terms.get(e, _ZERO) + ca * cb
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+        return self._wrap(terms)
+
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
@@ -216,27 +238,6 @@ class MultiPoly:
                         del terms[t]
         return self._wrap(terms)
 
-    def subs_value(self, name: str, value) -> "MultiPoly":
-        """Substitute an exact rational value for a variable (kept in vars)."""
-        value = Fraction(value)
-        i = self.vars.index(name)
-        terms: dict[tuple, Fraction] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k < 0 and not value:
-                raise ZeroDivisionError("zero substituted into a Laurent exponent")
-            coeff = c * value**k
-            if coeff:
-                e2 = list(e)
-                e2[i] = 0
-                t = tuple(e2)
-                s = terms.get(t, _ZERO) + coeff
-                if s:
-                    terms[t] = s
-                else:
-                    del terms[t]
-        return self._wrap(terms)
-
     def subs_poly(self, name: str, value: "MultiPoly") -> "MultiPoly":
         """Substitute a polynomial for a variable.
 
@@ -264,23 +265,6 @@ class MultiPoly:
             mono = MultiPoly(value.vars, {tuple(ev): c}, value.laurent)
             result = result + mono * pw(k)
         return result
-
-    def rename(self, mapping: Mapping[str, str]) -> "MultiPoly":
-        new_vars = tuple(mapping.get(v, v) for v in self.vars)
-        return MultiPoly(new_vars, dict(self.terms),
-                         frozenset(mapping.get(v, v) for v in self.laurent))
-
-    def extend(self, variables, laurent=()) -> "MultiPoly":
-        """Embed into a larger variable set (superset of the current one)."""
-        new_vars = tuple(variables)
-        idx = [new_vars.index(v) for v in self.vars]
-        terms = {}
-        for e, c in self.terms.items():
-            ev = [0] * len(new_vars)
-            for j, x in zip(idx, e):
-                ev[j] = x
-            terms[tuple(ev)] = c
-        return MultiPoly(new_vars, terms, laurent)
 
     # ----- exact division --------------------------------------------------
     def divide_exact(self, divisor: "MultiPoly", lead_var: str) -> "MultiPoly | None":

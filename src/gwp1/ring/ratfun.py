@@ -176,9 +176,6 @@ class FactoredRatFun:
             raise ValueError(f"denominator factors remain: {sorted(self.den)}")
         return self.num
 
-    def pole_factors(self) -> list:
-        return sorted(self.den.elements())
-
     def eval_numeric(self, ctx, assignment):
         den = self._den_poly(self.den)
         return self.num.eval_numeric(ctx, assignment) / den.eval_numeric(ctx, assignment)

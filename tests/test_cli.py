@@ -93,3 +93,21 @@ def test_precision_floor(runner, tmp_path):
     result = runner.invoke(main, ["--precision-bits", "40", "eval", "--op", "G",
                                   "--args", "0.3;1"])
     assert result.exit_code == 2
+
+
+def test_eval_wrong_argument_count_exit_code(runner, tmp_path):
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path), "eval", "--op", "D",
+                                  "--args", "0.3"])
+    assert result.exit_code == 2
+    assert "D takes 3 arguments, got 1" in result.output
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_corrupt_cache_file_is_a_miss(runner, tmp_path):
+    args = ["invariant", "--k", "2", "--i", "1,1", "--g", "0"]
+    first = invoke(runner, tmp_path, *args).output
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_text('{"payload": "trunc')
+    again = invoke(runner, tmp_path, *args)
+    assert again.exit_code == 0 and again.output == first
+    assert json.loads(entry.read_text())["payload"] == first.rstrip("\n")

@@ -2,13 +2,17 @@
 multi-point coefficients, parity/symmetry/region properties, one-point
 routes and the degree bookkeeping."""
 
+import json
 from fractions import Fraction
+from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 from gwp1.correlators import (
     CorrelatorKey,
     InsufficientOrderError,
+    _one_point_coefficient,
     extract_invariant,
     f_k_polar_coefficient,
     f_k_series,
@@ -24,6 +28,12 @@ from gwp1.ring.series import MultiSeries
 
 XE = ("x", "eps")
 LX = frozenset({"eps"})
+
+# f_k_polar_coefficient(...).to_json() recorded from the path-enumeration
+# extraction that the transfer-matrix contraction replaced: k = 2 targets in
+# -1..6 and k = 3 targets in -1..3 (sum <= 8), each in every region, plus the
+# k = 4 keys (1,1,1,1), (2,1,1,0) and (0,1,1,2); x_cap None and 0 throughout.
+RECORDED = Path(__file__).with_name("fk_polar_coefficients.json")
 
 
 def xe(terms):
@@ -89,6 +99,44 @@ class TestFkSeries:
         assert a.series == b.series
 
 
+class TestContraction:
+    def test_recorded_values_byte_identical(self):
+        cases = json.loads(RECORDED.read_text())
+        assert len(cases) == 1750
+        for case in cases:
+            got = f_k_polar_coefficient(case["k"], case["targets"], tuple(case["region"]),
+                                        x_cap=case["x_cap"])
+            assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(
+                case["coeff"], sort_keys=True), case
+
+    @pytest.mark.parametrize("k,targets,x_cap,eps_cap", [
+        (2, (4, 2), 1, None),
+        (2, (6, 4), 2, 3),
+        (3, (3, 3, 2), 1, None),
+        (3, (4, 3, 3), 1, 2),
+        (4, (3, 3, 3, 3), 1, 4),
+        (4, (4, 3, 3, 2), None, 3),
+    ])
+    def test_caps_return_exactly_the_terms_within(self, k, targets, x_cap, eps_cap):
+        full = f_k_polar_coefficient(k, targets)
+        capped = f_k_polar_coefficient(k, targets, x_cap=x_cap, eps_cap=eps_cap)
+        within = {(xp, ep): c for (xp, ep), c in full.terms.items()
+                  if (x_cap is None or xp <= x_cap) and (eps_cap is None or ep <= eps_cap)}
+        assert len(within) < len(full.terms), "the caps must drop something"
+        assert capped.terms == within
+
+    def test_region_independence_k4_all_regions(self):
+        regions = list(permutations((1, 2, 3, 4)))
+        assert len(regions) == 24
+        base = f_k_polar_coefficient(4, (3, 3, 2, 2))
+        assert not base.is_zero()
+        for region in regions[1:]:
+            assert f_k_polar_coefficient(4, (3, 3, 2, 2), region) == base, region
+        key = CorrelatorKey(k=4, insertions=(2, 1, 1, 0), g=1)
+        values = {extract_invariant(key, region=r).value for r in regions}
+        assert values == {Fraction(7, 12)}
+
+
 class TestOnePoint:
     def test_pure_x_part(self):
         s = one_point_series(7)
@@ -110,6 +158,11 @@ class TestOnePoint:
         b = one_point_digamma_form(9)
         c = one_point_series_oracle(9)
         assert a == b == c
+
+    def test_single_coefficient_matches_oracle(self):
+        oracle = one_point_series_oracle(20)
+        for j in range(2, 21):
+            assert _one_point_coefficient(j) == oracle.coefficient_or((j,), xe({})), j
 
     def test_qseries_oracle_terms(self):
         qq = one_point_qseries_oracle(2, 6)

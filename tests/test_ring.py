@@ -81,6 +81,16 @@ def test_truncation_soundness(terms, n_prime):
     assert sq_then_cut.terms == cut_then_sq.terms
 
 
+@settings(max_examples=60, deadline=None)
+@given(poly_strategy(), poly_strategy(), st.sampled_from([None, 0, 2, 4]),
+       st.sampled_from([None, 1, 3]))
+def test_truncated_product_is_the_cut_product(p, q, cap_a, cap_b):
+    full = (p * q).terms
+    cut = {e: c for e, c in full.items()
+           if (cap_a is None or e[0] <= cap_a) and (cap_b is None or e[1] <= cap_b)}
+    assert p.mul_truncated(q, (cap_a, cap_b)).terms == cut
+
+
 def test_rational_serialization():
     assert rat_to_str(Fraction(3, 4)) == "3/4"
     assert rat_to_str(Fraction(-6, 4)) == "-3/2"
