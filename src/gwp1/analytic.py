@@ -8,11 +8,17 @@ that are required to agree within tolerance.
 
 Precision is a value: every entry point takes a :class:`PrecisionContext`
 wrapping an independent mpmath context, so concurrent evaluations never
-share ambient state.
+share ambient state.  The series drivers pick their own working precision
+from the cancellation they measure (:func:`_drive`) and round their results
+back to the caller's precision.
 """
 
 from __future__ import annotations
 
+import contextvars
+import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,6 +31,8 @@ DEFAULT_BITS = 128
 SINGULARITY_MARGIN = 1e-6
 NEAR_DIAGONAL = 1e-3
 MAX_TERMS = 10 ** 6
+GUARD_BITS = 24
+MAX_WORKING_BITS = 1 << 15
 
 
 class SeriesDivergenceError(ArithmeticError):
@@ -33,6 +41,11 @@ class SeriesDivergenceError(ArithmeticError):
 
 class RouteDisagreement(ArithmeticError):
     """Two independent evaluation routes differ beyond tolerance."""
+
+
+class PrecisionCapError(ArithmeticError):
+    """The requested bits plus the bits lost to cancellation exceed
+    MAX_WORKING_BITS."""
 
 
 @dataclass(frozen=True)
@@ -59,15 +72,39 @@ class PrecisionContext:
 
 
 def required_bits(z, s, base: int = DEFAULT_BITS) -> int:
-    """Precision policy: raise precision in large-order regimes.
+    """Precision to request at (z, s): always `base`.
 
-    For |z| or |s| above 30 the alternating Bessel-type sums can cancel at
-    the exp(2 sqrt(X))-scale, so the driver requests 64 + ceil(2.9 |s|^2)
-    bits (a deliberately conservative bound)."""
-    za, sa = abs(complex(z)), abs(complex(s))
-    if za > 30 or sa > 30:
-        return max(base, 64 + int(mpmath.ceil(2.9 * sa * sa)))
+    The series drivers raise their own working precision by the bits they
+    measure lost to cancellation, so no point needs more than the accuracy
+    the caller wants.  Kept for the benchmark workloads, which call it."""
     return base
+
+
+@dataclass
+class PrecisionLog:
+    """What the series drivers run inside :func:`precision_log` did: the
+    largest working precision, the most bits lost to cancellation in one
+    sum, and how many sums were rerun at a higher precision."""
+
+    working_bits: int = 0
+    bits_lost: int = 0
+    retries: int = 0
+
+
+_LOG: contextvars.ContextVar = contextvars.ContextVar("gwp1_precision_log", default=None)
+
+
+@contextmanager
+def precision_log():
+    """Record the drivers' working precision into a fresh
+    :class:`PrecisionLog` for the duration of the block (opt-in; per
+    thread and per asyncio task)."""
+    log = PrecisionLog()
+    token = _LOG.set(log)
+    try:
+        yield log
+    finally:
+        _LOG.reset(token)
 
 
 @dataclass(frozen=True)
@@ -95,28 +132,144 @@ class EvalPoint:
         return self
 
 
-def _sum_series(pc: PrecisionContext, first_term, next_term, max_terms: int = MAX_TERMS):
-    """Sum a series given t_0 and t_{n+1} = next_term(t_n, n).
+# ---------------------------------------------------------------------------
+# series drivers
+#
+# A series is given by a builder: build(ctx) returns (first terms, ratios),
+# where ratios(n) lists t_(n+1)/t_n for each series summed in the loop.  With
+# ctx None the parameters are python complex numbers, which gives the float
+# walk that predicts the cancellation; otherwise they live in ctx.
+# ---------------------------------------------------------------------------
 
-    Stops when |term| < 2^-(bits+10) |partial| holds for three consecutive
-    terms; returns (value, crude error bound)."""
-    total = first_term
-    term = first_term
-    small = 0
-    threshold = pc.tol()
-    for n in range(max_terms):
-        term = next_term(term, n)
-        total += term
-        ref = abs(total)
-        if ref == 0:
-            ref = pc.ctx.mpf(1)
-        if abs(term) < threshold * ref:
-            small += 1
-            if small >= 3:
-                return total, abs(term) * 4
-        else:
-            small = 0
-    raise SeriesDivergenceError("series did not meet the stopping rule")
+
+_WORK = threading.local()
+
+
+def _work_ctx(bits: int):
+    """This thread's working context, set to `bits`.  One context per thread
+    serves every driver call: a clone costs about a millisecond and 40 kB,
+    and mpmath caches constants per precision.  Values computed in it keep
+    their precision when it is reset, so a caller only has to finish its
+    arithmetic in the context before the next driver call."""
+    ctx = getattr(_WORK, "ctx", None)
+    if ctx is None:
+        ctx = _WORK.ctx = mpmath.mp.clone()
+    ctx.prec = bits
+    return ctx
+
+
+def _num(ctx, x):
+    """x as a python complex (ctx None) or in ctx, real when its imaginary
+    part is zero (real arithmetic is several times cheaper)."""
+    if ctx is None:
+        return complex(x)
+    x = ctx.convert(x)
+    return x.real if isinstance(x, ctx.mpc) and not x.imag else x
+
+
+def _predict(build, target_bits: int):
+    """Float walk of log2 |t_n / t_0|: (predicted bits lost, terms summed).
+
+    The loss predicted for a sum is how far its largest term rises above
+    its first one; the walk stops where the sums would stop."""
+    firsts, ratios = build(None)
+    logs = [0.0] * len(firsts)
+    peaks = [0.0] * len(firsts)
+    for n in range(MAX_TERMS):
+        below = True
+        for i, r in enumerate(ratios(n)):
+            r = abs(r)
+            logs[i] = logs[i] + math.log2(r) if r else -math.inf
+            peaks[i] = max(peaks[i], logs[i])
+            below = below and logs[i] < peaks[i] - target_bits and r < 1
+        if below:
+            return math.ceil(max(peaks)), n + 1
+    return math.ceil(max(peaks)), MAX_TERMS
+
+
+def _sum_series(ctx, firsts, ratios, target_bits: int):
+    """Sum the series of one builder in one loop at ctx's precision.
+
+    A series stops once three consecutive terms lie below
+    2^-target_bits times its partial sum, compared on exponents.  Returns
+    (sums, error bounds, bits lost): the loss of a sum is how far its
+    largest term lies above it.  A bound covers truncation (four times the
+    last term) and rounding: each term carries the relative rounding error
+    of all ratios before it, at most 32 n 2^-prec, and each addition
+    rounds, so N terms below 2^peak contribute under 2^(peak+5-prec) N^2."""
+    mag = ctx.mag
+    terms = list(firsts)
+    sums = list(firsts)
+    peaks = [mag(t) for t in terms]
+    small = [0] * len(terms)
+    for n in range(MAX_TERMS):
+        done = True
+        for i, r in enumerate(ratios(n)):
+            t = terms[i] = terms[i] * r
+            sums[i] += t
+            mt = mag(t)
+            if mt > peaks[i]:
+                peaks[i] = mt
+            if not t or mt + target_bits < mag(sums[i]):
+                small[i] += 1
+                done = done and small[i] >= 3
+            else:
+                small[i] = 0
+                done = False
+        if done:
+            break
+    else:
+        raise SeriesDivergenceError("series did not meet the stopping rule")
+    n_terms = n + 2
+    errs = [ctx.ldexp(n_terms * n_terms, p + 5 - ctx.prec) + 4 * abs(t)
+            for p, t in zip(peaks, terms)]
+    lost = max(_loss(ctx, p, v) for p, v in zip(peaks, sums))
+    return sums, errs, lost
+
+
+def _loss(ctx, peak, value) -> int:
+    """Bits by which 2^peak exceeds |value| (all of them when value is 0)."""
+    return max(0, int(peak - ctx.mag(value))) if value else ctx.prec
+
+
+def _drive(pc: PrecisionContext, build):
+    """Sum a builder's series at the precision its cancellation needs.
+
+    The first run is at pc.bits + predicted loss + rounding bits + guard
+    bits.  When a sum's error bound misses 2^-pc.bits relative, the run is
+    repeated with the missing bits plus the guard added, up to
+    MAX_WORKING_BITS (then :class:`PrecisionCapError`).  Returns the working
+    context (see :func:`_work_ctx`), the sums and their error bounds, all at
+    working precision."""
+    bits = pc.bits
+    predicted, n_terms = _predict(build, bits + GUARD_BITS)
+    wp = bits + predicted + (32 * n_terms * n_terms).bit_length() + GUARD_BITS
+    retries = 0
+    while True:
+        if wp > MAX_WORKING_BITS:
+            raise PrecisionCapError(
+                f"working precision {wp} bits (the requested {bits} plus cancellation "
+                f"and guard bits) exceeds the cap of {MAX_WORKING_BITS} bits")
+        ctx = _work_ctx(wp)
+        sums, errs, lost = _sum_series(ctx, *build(ctx), bits + GUARD_BITS)
+        missing = max(_loss(ctx, ctx.mag(e) + bits + 1, v) for e, v in zip(errs, sums))
+        if not missing:
+            break
+        wp += missing + GUARD_BITS
+        retries += 1
+    log = _LOG.get()
+    if log is not None:
+        log.working_bits = max(log.working_bits, wp)
+        log.bits_lost = max(log.bits_lost, lost)
+        log.retries += retries
+    return ctx, sums, errs
+
+
+def _rounded(pc: PrecisionContext, value, err):
+    """(value, err) from working precision in pc: err grows by the rounding."""
+    if value:
+        err = err + pc.ctx.ldexp(1, pc.ctx.mag(value) - pc.bits)
+    return pc.mpc(value), pc.ctx.mpf(err)
 
 
 def _check_not_half_integer(z, margin=SINGULARITY_MARGIN):
@@ -131,23 +284,38 @@ def _check_not_half_integer(z, margin=SINGULARITY_MARGIN):
 # ---------------------------------------------------------------------------
 
 
+def _g_series(z, s, shifts):
+    """Builder for the G family, one series per (a, b) in shifts:
+
+        t_0 = 1,  t_(m+1) = t_m * 2 (2m+1) s^2 / ((m+1)(z-m-a)(z+m+b)).
+
+    (1/2, 1/2) is G(z), (1/2, 3/2) is Gt(z) and (3/2, 1/2) is Gt(z-1); the
+    sums share s^2 and the factor 2 (2m+1)/(m+1)."""
+
+    def build(ctx):
+        z_, s_ = _num(ctx, z), _num(ctx, s)
+        s2 = s_ * s_
+        lows = [z_ - a for a, _ in shifts]
+        highs = [z_ + b for _, b in shifts]
+
+        def ratios(m):
+            c = s2 * (4 * m + 2) / (m + 1)
+            return [c / ((lo - m) * (hi + m)) for lo, hi in zip(lows, highs)]
+
+        return [1] * len(shifts), ratios
+
+    return build
+
+
 def hyper_G(pc: PrecisionContext, z, s):
     """G(z; s) = sum_m C(2m, m) s^(2m) / (z - m + 1/2)_(2m); G(z; 0) = 1.
 
     Term recurrence: t_(m+1) = t_m * 2 (2m+1) s^2 / ((m+1)(z-m-1/2)(z+m+1/2)).
+    Returns (value, error bound).
     """
     _check_not_half_integer(z)
-    ctx = pc.ctx
-    z = pc.mpc(z)
-    s = pc.mpc(s)
-    s2 = s * s
-    half = ctx.mpf(1) / 2
-
-    def nxt(t, m):
-        return t * 2 * (2 * m + 1) * s2 / ((m + 1) * (z - m - half) * (z + m + half))
-
-    value, err = _sum_series(pc, ctx.mpc(1), nxt)
-    return value, err
+    _, (g,), (err,) = _drive(pc, _g_series(pc.mpc(z), pc.mpc(s), [(0.5, 0.5)]))
+    return _rounded(pc, g, err)
 
 
 def hyper_Gt(pc: PrecisionContext, z, s):
@@ -156,16 +324,8 @@ def hyper_Gt(pc: PrecisionContext, z, s):
     t_(m+1) = t_m * 2 (2m+1) s^2 / ((m+1)(z-m-1/2)(z+m+3/2)).
     """
     _check_not_half_integer(z)
-    ctx = pc.ctx
-    z = pc.mpc(z)
-    s = pc.mpc(s)
-    s2 = s * s
-    half = ctx.mpf(1) / 2
-
-    def nxt(t, m):
-        return t * 2 * (2 * m + 1) * s2 / ((m + 1) * (z - m - half) * (z + m + 3 * half))
-
-    return _sum_series(pc, ctx.mpc(1), nxt)
+    _, (gt,), (err,) = _drive(pc, _g_series(pc.mpc(z), pc.mpc(s), [(0.5, 1.5)]))
+    return _rounded(pc, gt, err)
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +333,28 @@ def hyper_Gt(pc: PrecisionContext, z, s):
 # ---------------------------------------------------------------------------
 
 
+def _j_series(params):
+    """Builder for j_a(X) at each a of (as, X) = params(ctx), computed at
+    the working precision:
+
+        t_0 = 1,  t_(n+1) = t_n * (-X) / ((n+1)(a+n+1/2))."""
+
+    def build(ctx):
+        as_, X = params(ctx)
+        ahs, mX = [a + 0.5 for a in as_], -X
+        return [1] * len(ahs), lambda n: [mX / ((n + 1) * (ah + n)) for ah in ahs]
+
+    return build
+
+
 def bessel_j_mod(pc: PrecisionContext, a, X):
     """Modified Bessel-type series j_a(X) = sum_n (-X)^n / (n! (a + 1/2)_n).
 
     Entire in X; the parameter must avoid (a + 1/2) in the non-positive
-    integers (series poles)."""
-    ctx = pc.ctx
-    a = pc.mpc(a)
-    X = pc.mpc(X)
-    half = ctx.mpf(1) / 2
-
-    def nxt(t, n):
-        return t * (-X) / ((n + 1) * (a + n + half))
-
-    return _sum_series(pc, ctx.mpc(1), nxt)
+    integers (series poles).  Returns (value, error bound)."""
+    a, X = pc.mpc(a), pc.mpc(X)
+    _, (j,), (err,) = _drive(pc, _j_series(lambda c: ([_num(c, a)], _num(c, X))))
+    return _rounded(pc, j, err)
 
 
 def bessel_J(pc: PrecisionContext, nu, y):
@@ -194,7 +362,9 @@ def bessel_J(pc: PrecisionContext, nu, y):
 
         J_nu(y) = (y/2)^nu / Gamma(nu + 1) * j_(nu + 1/2)(y^2 / 4)
 
-    with the prefactor computed in log space (principal branch of (y/2)^nu).
+    with the prefactor computed in log space (principal branch of (y/2)^nu)
+    with GUARD_BITS extra bits, which absorb the error of exponentiating the
+    logarithm.
     """
     ctx = pc.ctx
     nu = pc.mpc(nu)
@@ -205,21 +375,26 @@ def bessel_J(pc: PrecisionContext, nu, y):
         if nu.real > 0:
             return ctx.mpc(0), ctx.mpf(0)
         raise ValueError("bessel_J at y = 0 diverges for Re(nu) < 0")
-    j, err = bessel_j_mod(pc, nu + ctx.mpf(1) / 2, y * y / 4)
-    log_pref = nu * ctx.log(y / 2) - ctx.loggamma(nu + 1)
-    pref = ctx.exp(log_pref)
-    return pref * j, abs(pref) * err
+    wctx, (j,), (err,) = _drive(
+        pc, _j_series(lambda c: ([_num(c, nu) + 0.5], _num(c, y) ** 2 / 4)))
+    wctx.prec = pc.bits + GUARD_BITS
+    nu, y = wctx.convert(nu), wctx.convert(y)
+    pref = wctx.exp(nu * wctx.log(y / 2) - wctx.loggamma(nu + 1))
+    return _rounded(pc, pref * j, abs(pref) * err)
 
 
 def u_vector(pc: PrecisionContext, z, s):
     """Column vector u(z; s) = (j_z(s^2), s/(z + 1/2) j_(z+1)(s^2))."""
-    ctx = pc.ctx
     z = pc.mpc(z)
     s = pc.mpc(s)
-    X = s * s
-    top, _ = bessel_j_mod(pc, z, X)
-    bot, _ = bessel_j_mod(pc, z + 1, X)
-    return (top, s / (z + ctx.mpf(1) / 2) * bot)
+
+    def params(c):
+        z_ = _num(c, z)
+        return [z_, z_ + 1], _num(c, s) ** 2
+
+    wctx, (top, bot), _ = _drive(pc, _j_series(params))
+    z_, s_ = wctx.convert(z), wctx.convert(s)
+    return (pc.mpc(top), pc.mpc(s_ / (z_ + 0.5) * bot))
 
 
 def v_vector(pc: PrecisionContext, z, s):
@@ -255,21 +430,21 @@ class UnitTraceMat2(Mat2):
 
 
 def matrix_B(pc: PrecisionContext, z, s) -> Mat2:
-    """Unit-trace rank-one matrix assembled from the two hypergeometric
-    series.  The diagonal is ((1+G)/2, (1-G)/2), so unit trace holds by
-    construction and :meth:`UnitTraceMat2.trace` returns it exactly; det B
-    is a diagnostic that must vanish to working precision."""
-    ctx = pc.ctx
+    """Unit-trace rank-one matrix assembled from the series G(z), Gt(z) and
+    Gt(z-1), summed in one loop.  The diagonal is ((1+G)/2, (1-G)/2), so
+    unit trace holds by construction and :meth:`UnitTraceMat2.trace`
+    returns it exactly; det B is a diagnostic that must vanish to working
+    precision.  The entries are assembled at working precision and then
+    rounded to pc."""
+    _check_not_half_integer(z)
     z = pc.mpc(z)
     s = pc.mpc(s)
-    g, _ = hyper_G(pc, z, s)
-    gt_up, _ = hyper_Gt(pc, z, s)
-    gt_dn, _ = hyper_Gt(pc, z - 1, s)
+    ctx, (g, gt_up, gt_dn), _ = _drive(
+        pc, _g_series(z, s, [(0.5, 0.5), (0.5, 1.5), (1.5, 0.5)]))
+    z, s = _num(ctx, z), _num(ctx, s)
     b11 = (1 + g) / 2
-    b22 = 1 - b11
-    b12 = 2 * s / (1 - 2 * z) * gt_dn
-    b21 = 2 * s / (1 + 2 * z) * gt_up
-    return UnitTraceMat2(b11, b12, b21, b22, ctx.mpc(1))
+    entries = (b11, 2 * s / (1 - 2 * z) * gt_dn, 2 * s / (1 + 2 * z) * gt_up, 1 - b11)
+    return UnitTraceMat2(*(pc.mpc(e) for e in entries), pc.ctx.mpc(1))
 
 
 def rank_one_residuals(pc: PrecisionContext, z, s) -> dict:
@@ -324,6 +499,27 @@ def gbb_residuals(pc: PrecisionContext, z, s) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _kernel_series(a, b, s):
+    """Builder for the kernel series: t_0 = 1/(a-b), t_1 = s^2/((1/2-a)(1/2+b))
+    and, from the Pochhammer parts, with d = a - b,
+
+        t_(n+1)/t_n = (d-2n-1)(d-2n) s^2 / ((d-n-1)(n+1)(1/2-a+n)(1/2+b+n))."""
+
+    def build(ctx):
+        a_, b_, s_ = _num(ctx, a), _num(ctx, b), _num(ctx, s)
+        d, s2, ha, hb = a_ - b_, s_ * s_, 0.5 - a_, 0.5 + b_
+
+        def ratios(n):
+            if n == 0:
+                return [s2 * d / (ha * hb)]
+            return [(d - 2 * n - 1) * (d - 2 * n) * s2
+                    / ((d - n - 1) * (n + 1) * (ha + n) * (hb + n))]
+
+        return [1 / d], ratios
+
+    return build
+
+
 def kernel_D(pc: PrecisionContext, a, b, s, route: str = "both", rel_tol=None):
     """Pairing kernel D(a, b; s), by two independent routes:
 
@@ -342,31 +538,8 @@ def kernel_D(pc: PrecisionContext, a, b, s, route: str = "both", rel_tol=None):
         raise ValueError("the product route needs a != b (diagonal handled by h_1)")
 
     def series_route():
-        half = ctx.mpf(1) / 2
-        s2 = s * s
-        total = 1 / (a - b)
-        # t_n for n >= 1 by direct recurrence on the three Pochhammer parts
-        t = s2 / ((half - a) * (half + b))  # n = 1 term: (a-b-1)_0 = 1
-        total += t
-        small = 0
-        threshold = pc.tol()
-        n = 1
-        while n < MAX_TERMS:
-            # ratio t_(n+1)/t_n:
-            #   (a-b-2n-1)_n / (a-b-2n+1)_(n-1) = (a-b-2n-1)(a-b-2n)/(a-b-n-1)
-            #   times s^2 / ( (n+1) (1/2-a+n) (1/2+b+n) )
-            num = (a - b - 2 * n - 1) * (a - b - 2 * n)
-            den = (a - b - n - 1) * (n + 1) * (half - a + n) * (half + b + n)
-            t = t * num / den * s2
-            total += t
-            if abs(t) < threshold * abs(total):
-                small += 1
-                if small >= 3:
-                    return total, abs(t) * 4
-            else:
-                small = 0
-            n += 1
-        raise SeriesDivergenceError("kernel series did not converge")
+        _, (total,), (err,) = _drive(pc, _kernel_series(a, b, s))
+        return _rounded(pc, total, err)[0]
 
     def product_route():
         uma = u_vector(pc, -a, s)
@@ -374,12 +547,12 @@ def kernel_D(pc: PrecisionContext, a, b, s, route: str = "both", rel_tol=None):
         return (uma[0] * ub[0] + uma[1] * ub[1]) / (a - b)
 
     if route == "series":
-        return series_route()[0]
+        return series_route()
     if route == "product":
         return product_route()
     if route != "both":
         raise ValueError("route must be 'series', 'product' or 'both'")
-    v1, err = series_route()
+    v1 = series_route()
     v2 = product_route()
     tol = rel_tol if rel_tol is not None else pc.tol(16) * 100
     scale = max(abs(v1), abs(v2))
@@ -412,17 +585,22 @@ def h_k(pc: PrecisionContext, zs, s, route: str = "trace"):
     factorized kernel route; includes the double-pole subtraction at k = 2.
 
     Near-diagonal points (min pairwise gap below 1e-3) are rerouted through
-    the commutator rearrangement, which is finite on diagonals.
+    the commutator rearrangement, which is finite on diagonals; coincident
+    points raise ValueError (the diagonal limit is not implemented).
     """
     k = len(zs)
     if k < 2:
         raise ValueError("h_k requires k >= 2")
     ctx = pc.ctx
     zs = [pc.mpc(z) for z in zs]
-    gap = min(abs(zs[i] - zs[j]) for i in range(k) for j in range(i + 1, k))
-    if gap < NEAR_DIAGONAL:
-        return _h_k_near_diagonal(pc, zs, s)
     s = pc.mpc(s)
+    gap = min(abs(zs[i] - zs[j]) for i in range(k) for j in range(i + 1, k))
+    if gap == 0:
+        raise ValueError("h_k needs pairwise distinct points")
+    if gap < NEAR_DIAGONAL:
+        # B(z_i) - B(z_j) cancels about log2(1/gap) leading bits
+        wpc = PrecisionContext(pc.bits + 1 - ctx.mag(gap))
+        return pc.mpc(_h_k_near_diagonal(wpc, [wpc.mpc(z) for z in zs], wpc.mpc(s)))
     total = ctx.mpc(0)
     if route == "trace":
         Bs = [matrix_B(pc, z, s) for z in zs]
@@ -515,6 +693,8 @@ def h_1(pc: PrecisionContext, z, s):
 
         H1(z; s) = sum_{n>=1} (2n-1)! s^(2n) / (n!^2 (z-n+1/2)_(2n));
         H1(z; 0) = 0.
+
+    Returns (value, error bound).
     """
     _check_not_half_integer(z)
     ctx = pc.ctx
@@ -522,15 +702,19 @@ def h_1(pc: PrecisionContext, z, s):
     s = pc.mpc(s)
     if s == 0:
         return ctx.mpc(0), ctx.mpf(0)
-    half = ctx.mpf(1) / 2
-    s2 = s * s
-    t1 = s2 / ((z - half) * (z + half))
 
-    def nxt(t, m):
-        n = m + 1  # current index produced t_n; build t_(n+1)
-        return t * (2 * n) * (2 * n + 1) * s2 / ((n + 1) ** 2 * (z - n - half) * (z + n + half))
+    def build(c):
+        z_, s_ = _num(c, z), _num(c, s)
+        s2, lo, hi = s_ * s_, z_ - 0.5, z_ + 0.5
 
-    return _sum_series(pc, t1, nxt)
+        def ratios(m):  # t_(n+1)/t_n with n = m + 1
+            n = m + 1
+            return [(2 * n) * (2 * n + 1) * s2 / ((n + 1) ** 2 * (lo - n) * (hi + n))]
+
+        return [s2 / (lo * hi)], ratios
+
+    _, (total,), (err,) = _drive(pc, build)
+    return _rounded(pc, total, err)
 
 
 def h_1_star(pc: PrecisionContext, z, s, dnu_step=None):

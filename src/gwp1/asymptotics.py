@@ -21,7 +21,7 @@ from math import factorial
 import mpmath
 
 from gwp1 import analytic
-from gwp1.analytic import PrecisionContext, required_bits
+from gwp1.analytic import PrecisionContext
 from gwp1.exprtree import TableEntryError, eval_numeric, validate_tree
 from gwp1.ring.numbers import coset_reps
 from gwp1.ring.poly import MultiPoly
@@ -585,11 +585,9 @@ def verify_eps0(k: int, g_max: int, lams, q, eps_list, tolerance=0.25) -> Regime
             raise ValueError(f"lam = {lam} outside the admissible region")
     entries = [(g, _eps0_entry(k, g)["tree"]) for g in range(0, g_max + 1)]
     remainders = []
+    pc = PrecisionContext()
+    ctx = pc.ctx
     for eps in eps_list:
-        s = mpmath.sqrt(q) / eps
-        bits = required_bits(max(abs(l / eps) for l in lams), s)
-        pc = PrecisionContext(bits)
-        ctx = pc.ctx
         env = {f"lam{i + 1}": ctx.mpf(l) for i, l in enumerate(lams)}
         env["q"] = ctx.mpf(q)
         eps_m = ctx.mpf(eps)
@@ -657,11 +655,9 @@ def verify_q_inf(k: int, d_max: int, lams, eps, q_list, tolerance=0.30) -> Regim
     lams = list(lams)[:k]
     entries = _qinf_entries(k)
     remainders = []
+    pc = PrecisionContext()
+    ctx = pc.ctx
     for q in q_list:
-        sq = mpmath.sqrt(q)
-        bits = required_bits(max(abs(l / eps) for l in lams), sq / eps)
-        pc = PrecisionContext(bits)
-        ctx = pc.ctx
         eps_m = ctx.mpf(eps)
         q_m = ctx.mpf(q)
         sq_m = ctx.sqrt(q_m)

@@ -1,8 +1,11 @@
 """Command-line surface: computation dispatch, persistence and caching.
 
-Exit codes: 0 success, 2 validation error, 3 numerical route disagreement,
-4 insufficient series order.  Results are emitted as deterministic JSON
-(sorted keys, decimal-string numbers) or flat CSV for coefficient tables.
+Exit codes: 0 success, 2 validation error or a precision beyond the working
+cap (``analytic.PrecisionCapError``: the requested bits plus the bits lost to
+cancellation exceed ``analytic.MAX_WORKING_BITS``), 3 numerical route
+disagreement, 4 insufficient series order.  Results are emitted as
+deterministic JSON (sorted keys, decimal-string numbers) or flat CSV for
+coefficient tables.
 """
 
 from __future__ import annotations
@@ -13,13 +16,14 @@ import os
 import sys
 import tempfile
 import time
+from functools import lru_cache
 
 import click
 import mpmath
 
 import gwp1
 from gwp1 import analytic, asymptotics, correlators, resolvent
-from gwp1.analytic import PrecisionContext, RouteDisagreement
+from gwp1.analytic import PrecisionCapError, PrecisionContext, RouteDisagreement
 from gwp1.correlators import CorrelatorKey, InsufficientOrderError
 
 EXIT_VALIDATION = 2
@@ -36,8 +40,26 @@ def _default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "gwp1")
 
 
+@lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """SHA-256 over the package's python sources and tables, so that a
+    changed program never reads payloads an older one wrote."""
+    root = os.path.dirname(gwp1.__file__)
+    paths = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+        paths += [os.path.join(dirpath, f) for f in filenames if f.endswith((".py", ".json"))]
+    digest = hashlib.sha256()
+    for path in sorted(paths):
+        digest.update(os.path.relpath(path, root).encode() + b"\0")
+        with open(path, "rb") as fh:
+            digest.update(fh.read() + b"\0")
+    return digest.hexdigest()
+
+
 def _cache_key(command: str, params: dict) -> str:
-    canon = json.dumps({"command": command, "params": params, "version": gwp1.__version__},
+    canon = json.dumps({"command": command, "params": params, "version": gwp1.__version__,
+                        "sources": _source_digest()},
                        sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -51,7 +73,9 @@ def _cache_read(cache_dir: str, key: str):
             entry = json.load(fh)
     except ValueError:
         return None  # corrupt file: a miss, recomputed and overwritten
-    return entry.get("payload")
+    if not isinstance(entry, dict) or not isinstance(entry.get("payload"), str):
+        return None  # JSON of the wrong shape: also a miss
+    return entry["payload"]
 
 
 def _cache_write(cache_dir: str, key: str, payload: str):
@@ -297,32 +321,32 @@ def eval_cmd(ctx, op, args_, route):
         diagnostics = {}
         err_bound = None
         try:
-            if op in ("G", "Gt", "j", "H1"):
-                fn = {"G": analytic.hyper_G, "Gt": analytic.hyper_Gt,
-                      "j": analytic.bessel_j_mod, "H1": analytic.h_1}[op]
-                value, err_bound = fn(pc, *vals)
-            elif op == "J":
-                value, err_bound = analytic.bessel_J(pc, *vals)
-            elif op == "B":
-                B = analytic.matrix_B(pc, *vals)
-                diagnostics["det"] = cx.nstr(abs(B.det()), 8)
-                diagnostics["entries"] = [
-                    {"re": cx.nstr(e.real, digits), "im": cx.nstr(e.imag, digits)}
-                    for e in B.entries()
-                ]
-                value = B.trace()
-            elif op == "D":
-                value = analytic.kernel_D(pc, *vals, route=route or "both")
-            elif op == "Dstar":
-                value = analytic.kernel_Dstar(pc, *vals)
-            elif op == "H1star":
-                value = analytic.h_1_star(pc, *vals)
-            else:  # Hk
-                value = analytic.h_k(pc, vals[:-1], vals[-1], route=route or "trace")
+            with analytic.precision_log() as log:
+                if op in ("G", "Gt", "j", "H1", "J"):
+                    fn = {"G": analytic.hyper_G, "Gt": analytic.hyper_Gt,
+                          "j": analytic.bessel_j_mod, "H1": analytic.h_1,
+                          "J": analytic.bessel_J}[op]
+                    value, err_bound = fn(pc, *vals)
+                elif op == "B":
+                    B = analytic.matrix_B(pc, *vals)
+                    diagnostics["det"] = cx.nstr(abs(B.det()), 8)
+                    diagnostics["entries"] = [
+                        {"re": cx.nstr(e.real, digits), "im": cx.nstr(e.imag, digits)}
+                        for e in B.entries()
+                    ]
+                    value = B.trace()
+                elif op == "D":
+                    value = analytic.kernel_D(pc, *vals, route=route or "both")
+                elif op == "Dstar":
+                    value = analytic.kernel_Dstar(pc, *vals)
+                elif op == "H1star":
+                    value = analytic.h_1_star(pc, *vals)
+                else:  # Hk
+                    value = analytic.h_k(pc, vals[:-1], vals[-1], route=route or "trace")
         except RouteDisagreement as exc:
             click.echo(str(exc), err=True)
             sys.exit(EXIT_ROUTE_DISAGREEMENT)
-        except (ValueError, analytic.SeriesDivergenceError) as exc:
+        except (ValueError, analytic.SeriesDivergenceError, PrecisionCapError) as exc:
             click.echo(str(exc), err=True)
             sys.exit(EXIT_VALIDATION)
         value = cx.mpc(value)
@@ -330,6 +354,8 @@ def eval_cmd(ctx, op, args_, route):
             "op": op,
             "args": [{"re": repr(v.real), "im": repr(v.imag)} for v in vals],
             "precision_bits": pc.bits,
+            "working_bits": max(log.working_bits, pc.bits),
+            "bits_lost": log.bits_lost,
             "route": route,
             "value": {"re": cx.nstr(value.real, digits), "im": cx.nstr(value.imag, digits)},
             "err_bound": cx.nstr(err_bound, 8) if err_bound is not None else None,

@@ -2,11 +2,18 @@
 rank-one structure, kernel routes, k-point route agreement, one-point
 identities and the asymptotic-matching diagnostics."""
 
+import cmath
+import math
+import sys
+import threading
+
+import mpmath
 import pytest
 
 from gwp1 import analytic
 from gwp1.analytic import (
     EvalPoint,
+    PrecisionCapError,
     PrecisionContext,
     RouteDisagreement,
     asymptotic_matching_residuals,
@@ -24,6 +31,7 @@ from gwp1.analytic import (
     kernel_Dstar,
     kernel_large_order_check,
     matrix_B,
+    precision_log,
     rank_one_residuals,
     required_bits,
 )
@@ -124,9 +132,19 @@ class TestKernels:
         v = kernel_D(pc, 0.3, -0.45, 1.1, route="both")
         assert v is not None
 
-    def test_route_disagreement_raises(self, pc):
+    def test_route_disagreement_raises(self, pc, monkeypatch):
+        # both routes return the correctly rounded value, so a disagreement
+        # is made by perturbing the product route by 2^-100
+        u_vector = analytic.u_vector
+
+        def perturbed(pc, z, s):
+            top, bot = u_vector(pc, z, s)
+            return top * (1 + pc.ctx.mpf(2) ** -100), bot
+
+        monkeypatch.setattr(analytic, "u_vector", perturbed)
         with pytest.raises(RouteDisagreement):
-            kernel_D(pc, 0.3, -0.45, 1.1, route="both", rel_tol=1e-60)
+            kernel_D(pc, 0.3, -0.45, 1.1, route="both")
+        assert kernel_D(pc, 0.3, -0.45, 1.1, route="both", rel_tol=2.0 ** -90) is not None
 
     def test_gamma_rescaling_relation(self, pc):
         ctx = pc.ctx
@@ -189,6 +207,23 @@ class TestKPoint:
         generic = h_k(pc, [z, z + ctx.mpf("2e-3")], s)  # literal path
         assert abs(near - generic) < ctx.mpf("0.1")
 
+    def test_near_diagonal_keeps_precision(self, pc):
+        # B(z1) - B(z2) cancels 116 bits at gap 1e-35; the reference is the
+        # same difference quotient from mpmath's hyp1f2 at 640 bits
+        ctx = pc.ctx
+        z1, s = ctx.mpf("0.27"), ctx.mpf("0.8")
+        z2 = z1 + ctx.mpf("1e-35")
+        value = h_k(pc, [z1, z2], s)
+        mp = _ref_ctx(640)
+        d = mp.mpf(z1) - mp.mpf(z2)
+        q = [(x - y) / d for x, y in zip(_ref_B(mp, z1, s), _ref_B(mp, z2, s))]
+        ref = -(q[0] * q[0] + 2 * q[1] * q[2] + q[3] * q[3]) / 2
+        assert abs(mp.mpc(value) - ref) <= abs(ref) * mp.mpf(2) ** -118
+
+    def test_coincident_points_raise(self, pc):
+        with pytest.raises(ValueError):
+            h_k(pc, [0.3, 0.3], 1.1)
+
     def test_k_must_be_at_least_two(self, pc):
         with pytest.raises(ValueError):
             h_k(pc, [0.3], 1)
@@ -226,12 +261,11 @@ class TestDiagnostics:
                     assert r <= b
 
     def test_precision_policy(self):
-        assert required_bits(1, 1) == 128
-        # large order, small coupling: the cancellation bound is below the
-        # default, which already satisfies it
-        assert required_bits(40, 1) == 128
-        assert required_bits(1, 32) >= 64 + int(2.9 * 32 * 32)
-        assert required_bits(31, 31) >= 64 + int(2.9 * 31 * 31)
+        # the drivers measure their own cancellation: callers ask for the
+        # accuracy they want, at every point
+        for z, s in ((1, 1), (40, 1), (1, 32), (31, 31), (0.3, 60)):
+            assert required_bits(z, s) == 128
+            assert required_bits(z, s, 200) == 200
 
     def test_eval_point_validation(self):
         EvalPoint(zs=(0.3,), s=1).validate()
@@ -240,3 +274,103 @@ class TestDiagnostics:
         with pytest.raises(ValueError):
             # sqrt(q)/eps on the negative real axis sits on the branch cut
             EvalPoint(zs=(0.3,), s=1, q=1.0, eps=-1.0).validate()
+
+
+def _ref_ctx(bits):
+    mp = mpmath.mp.clone()
+    mp.prec = bits
+    return mp
+
+
+def _ref_B(mp, z, s):
+    """B's entries from mpmath's hyp1f2, which raises its own precision on
+    cancellation: G = 1F2(1/2; 1/2-z, 1/2+z; -4s^2), Gt likewise."""
+    h = mp.mpf(1) / 2
+    z, s = mp.mpc(z), mp.mpc(s)
+    x = -4 * s * s
+    g = mp.hyp1f2(h, h - z, h + z, x)
+    gt_up = mp.hyp1f2(h, h - z, 3 * h + z, x)
+    gt_dn = mp.hyp1f2(h, h - (z - 1), 3 * h + (z - 1), x)
+    return [(1 + g) / 2, 2 * s / (1 - 2 * z) * gt_dn, 2 * s / (1 + 2 * z) * gt_up, (1 - g) / 2]
+
+
+class TestWorkingPrecision:
+    """Against independent library code, on couplings where 30-350 bits
+    cancel: every result at 128 bits must be right to 2^-118 relative."""
+
+    GRID = [(0.3, 5), (-1.7 + 0.4j, 12), (2.2, 25), (0.3, 25), (1.1 - 0.3j, 40),
+            (-0.8, 60), (0.3, cmath.rect(8, math.pi / 6)),
+            (0.45 + 0.2j, cmath.rect(30, -math.pi / 6)),
+            (1.7, cmath.rect(45, 0.3)), (-2.3, cmath.rect(60, math.pi / 6))]
+
+    @staticmethod
+    def rel(mp, value, ref):
+        return abs(mp.mpc(value) - ref) / abs(ref)
+
+    @pytest.mark.parametrize("z,s", GRID)
+    def test_against_mpmath(self, pc, z, s):
+        mp = _ref_ctx(256)
+        h = mp.mpf(1) / 2
+        ref = _ref_B(mp, z, s)
+        scale = max(abs(r) for r in ref)
+        B = matrix_B(pc, z, s)
+        assert max(abs(mp.mpc(e) - r) for e, r in zip(B.entries(), ref)) <= scale * 2.0 ** -118
+        zz, ss = mp.mpc(z), mp.mpc(s)
+        g_ref = mp.hyp1f2(h, h - zz, h + zz, -4 * ss * ss)
+        assert self.rel(mp, hyper_G(pc, z, s)[0], g_ref) <= 2.0 ** -118
+        gt_ref = mp.hyp1f2(h, h - zz, 3 * h + zz, -4 * ss * ss)
+        assert self.rel(mp, hyper_Gt(pc, z, s)[0], gt_ref) <= 2.0 ** -118
+        nu = pc.mpc(z) - pc.ctx.mpf(1) / 2
+        value, err = bessel_J(pc, nu, 2 * s)
+        j_ref = mp.besselj(mp.mpc(nu), 2 * ss)
+        assert self.rel(mp, value, j_ref) <= 2.0 ** -118
+        assert abs(mp.mpc(value) - j_ref) <= err
+
+    def test_retry_recovers_an_underestimate(self, pc, monkeypatch):
+        monkeypatch.setattr(analytic, "_predict", lambda build, target: (0, 1))
+        with precision_log() as log:
+            value, err = hyper_G(pc, 0.3, 40)
+        assert log.retries >= 1 and log.bits_lost > 200
+        assert log.working_bits > 128 + log.bits_lost
+        mp = _ref_ctx(256)
+        h = mp.mpf(1) / 2
+        ref = mp.hyp1f2(h, h - mp.mpf(0.3), h + mp.mpf(0.3), -4 * mp.mpf(40) ** 2)
+        assert self.rel(mp, value, ref) <= 2.0 ** -118
+        assert abs(mp.mpc(value) - ref) <= err
+
+    def test_cap_raises(self, pc, monkeypatch):
+        monkeypatch.setattr(analytic, "MAX_WORKING_BITS", 320)
+        with pytest.raises(PrecisionCapError):
+            hyper_G(pc, 0.3, 60)  # the prediction alone is over the cap
+        monkeypatch.setattr(analytic, "_predict", lambda build, target: (0, 1))
+        with pytest.raises(PrecisionCapError):
+            hyper_G(pc, 0.3, 60)  # the retry is over the cap
+        with pytest.raises(PrecisionCapError):
+            hyper_G(PrecisionContext(400), 0.3, 1)
+
+    def test_threads_keep_their_working_precision(self):
+        # each thread sums in its own working context: values computed
+        # concurrently at different precisions match the sequential ones
+        jobs = [(PrecisionContext(bits), 0.3 + 0.35 * i, s)
+                for i, (bits, s) in enumerate([(64, 25), (128, 40), (200, 5), (96, 60)])]
+        expected = [matrix_B(pc, z, s).entries() for pc, z, s in jobs]
+        results = [[] for _ in jobs]
+
+        def work(i):
+            pc, z, s = jobs[i]
+            for _ in range(3):
+                with precision_log():
+                    results[i].append(matrix_B(pc, z, s).entries())
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[e] * 3 for e in expected]

@@ -2,9 +2,11 @@
 
 import json
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 
+from gwp1 import cli
 from gwp1.cli import main
 
 
@@ -111,3 +113,53 @@ def test_corrupt_cache_file_is_a_miss(runner, tmp_path):
     again = invoke(runner, tmp_path, *args)
     assert again.exit_code == 0 and again.output == first
     assert json.loads(entry.read_text())["payload"] == first.rstrip("\n")
+
+
+@pytest.mark.parametrize("stored", ["[]", '{"key": "k", "payload": 3}'])
+def test_cache_entry_of_wrong_shape_is_a_miss(runner, tmp_path, stored):
+    args = ["invariant", "--k", "2", "--i", "1,1", "--g", "0"]
+    first = invoke(runner, tmp_path, *args).output
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_text(stored)
+    again = invoke(runner, tmp_path, *args)
+    assert again.exit_code == 0 and again.output == first
+    assert json.loads(entry.read_text())["payload"] == first.rstrip("\n")
+
+
+def test_changed_sources_give_a_new_cache_key(monkeypatch):
+    params = {"k": 1, "insertions": [0], "g": 0, "m": 0, "d": None}
+    key = cli._cache_key("invariant", params)
+    assert cli._cache_key("invariant", params) == key
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    assert cli._cache_key("invariant", params) != key
+
+
+def test_eval_large_coupling_is_accurate(runner, tmp_path):
+    # 140 bits cancel in G(0.3; 25); at a fixed 128 bits this printed -4005.96
+    result = invoke(runner, tmp_path, "eval", "--op", "G", "--args", "0.3;25")
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert data["value"]["re"].startswith("1.4603821613629082078")
+    assert data["precision_bits"] == 128 and data["working_bits"] > 128 + data["bits_lost"]
+    assert data["bits_lost"] > 100
+    mp = mpmath.mp.clone()
+    mp.prec = 400
+    h = mp.mpf(1) / 2
+    true = mp.hyp1f2(h, h - mp.mpf(0.3), h + mp.mpf(0.3), -4 * mp.mpf(25) ** 2)
+    assert abs(mp.mpf(data["value"]["re"]) - true) <= mp.mpf(data["err_bound"])
+    again = invoke(runner, tmp_path, "eval", "--op", "G", "--args", "0.3;25")
+    assert again.output == result.output
+
+
+def test_eval_precision_cap_exit_code(runner, tmp_path):
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path), "--precision-bits", "40000",
+                                  "eval", "--op", "G", "--args", "0.3;1"])
+    assert result.exit_code == 2
+    assert "exceeds the cap" in result.output
+
+
+def test_eval_coincident_points_exit_code(runner, tmp_path):
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path), "eval", "--op", "Hk",
+                                  "--args", "0.3;0.3;1.1"])
+    assert result.exit_code == 2
+    assert "distinct" in result.output
