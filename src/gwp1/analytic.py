@@ -25,7 +25,7 @@ from fractions import Fraction
 import mpmath
 
 from gwp1.ring.mat2 import Mat2
-from gwp1.ring.numbers import bernoulli_number, coset_reps
+from gwp1.ring.numbers import coset_reps, pochhammer
 
 DEFAULT_BITS = 128
 SINGULARITY_MARGIN = 1e-6
@@ -105,31 +105,6 @@ def precision_log():
         yield log
     finally:
         _LOG.reset(token)
-
-
-@dataclass(frozen=True)
-class EvalPoint:
-    """Evaluation point (z_1..z_k; s), optionally tagged with the spectral
-    conventions z = lam/eps, s = sqrt(q)/eps."""
-
-    zs: tuple
-    s: complex
-    lam: tuple | None = None
-    eps: complex | None = None
-    q: complex | None = None
-    delta_min: float = SINGULARITY_MARGIN
-
-    def validate(self):
-        for z in self.zs:
-            zc = complex(z)
-            nearest = round(zc.real - 0.5) + 0.5
-            if abs(zc - nearest) < self.delta_min:
-                raise ValueError(f"z = {z} within {self.delta_min} of Z + 1/2")
-        if self.q is not None and self.eps is not None:
-            arg = mpmath.arg(mpmath.sqrt(self.q) / self.eps)
-            if not (-mpmath.pi < arg < mpmath.pi):
-                raise ValueError("arg(sqrt(q)/eps) must lie in (-pi, pi)")
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +213,16 @@ def _drive(pc: PrecisionContext, build):
     The first run is at pc.bits + predicted loss + rounding bits + guard
     bits.  When a sum's error bound misses 2^-pc.bits relative, the run is
     repeated with the missing bits plus the guard added, up to
-    MAX_WORKING_BITS (then :class:`PrecisionCapError`).  Returns the working
-    context (see :func:`_work_ctx`), the sums and their error bounds, all at
-    working precision."""
+    MAX_WORKING_BITS (then :class:`PrecisionCapError`).  A term that divides
+    by zero at working precision is a pole of the series (ValueError); one
+    that does so only in the float walk leaves the precision to the retries.
+    Returns the working context (see :func:`_work_ctx`), the sums and their
+    error bounds, all at working precision."""
     bits = pc.bits
-    predicted, n_terms = _predict(build, bits + GUARD_BITS)
+    try:
+        predicted, n_terms = _predict(build, bits + GUARD_BITS)
+    except ZeroDivisionError:
+        predicted, n_terms = 0, 0
     wp = bits + predicted + (32 * n_terms * n_terms).bit_length() + GUARD_BITS
     retries = 0
     while True:
@@ -251,7 +231,11 @@ def _drive(pc: PrecisionContext, build):
                 f"working precision {wp} bits (the requested {bits} plus cancellation "
                 f"and guard bits) exceeds the cap of {MAX_WORKING_BITS} bits")
         ctx = _work_ctx(wp)
-        sums, errs, lost = _sum_series(ctx, *build(ctx), bits + GUARD_BITS)
+        try:
+            sums, errs, lost = _sum_series(ctx, *build(ctx), bits + GUARD_BITS)
+        except ZeroDivisionError:
+            raise ValueError("pole of the series: a term divides by zero at these "
+                             "parameters") from None
         missing = max(_loss(ctx, ctx.mag(e) + bits + 1, v) for e, v in zip(errs, sums))
         if not missing:
             break
@@ -503,19 +487,28 @@ def _kernel_series(a, b, s):
     """Builder for the kernel series: t_0 = 1/(a-b), t_1 = s^2/((1/2-a)(1/2+b))
     and, from the Pochhammer parts, with d = a - b,
 
-        t_(n+1)/t_n = (d-2n-1)(d-2n) s^2 / ((d-n-1)(n+1)(1/2-a+n)(1/2+b+n))."""
+        t_(n+1)/t_n = (d-2n-1)(d-2n) s^2 / ((d-n-1)(n+1)(1/2-a+n)(1/2+b+n)).
+
+    When d is an integer >= 2, (d-2n+1)_(n-1) vanishes for (d+1)/2 <= n < d
+    and the ratio into t_d is 0/0: the terms up to n = d//2 and those from
+    n = d on are summed as two series, the second started from its
+    Pochhammer value t_d = (-1)^(d-1) s^(2d) / (d (1/2-a)_d (1/2+b)_d)."""
 
     def build(ctx):
         a_, b_, s_ = _num(ctx, a), _num(ctx, b), _num(ctx, s)
         d, s2, ha, hb = a_ - b_, s_ * s_, 0.5 - a_, 0.5 + b_
 
-        def ratios(n):
+        def ratio(n):
             if n == 0:
-                return [s2 * d / (ha * hb)]
-            return [(d - 2 * n - 1) * (d - 2 * n) * s2
-                    / ((d - n - 1) * (n + 1) * (ha + n) * (hb + n))]
+                return s2 * d / (ha * hb)
+            return ((d - 2 * n - 1) * (d - 2 * n) * s2
+                    / ((d - n - 1) * (n + 1) * (ha + n) * (hb + n)))
 
-        return [1 / d], ratios
+        m = int(d.real)
+        if m < 2 or d != m:
+            return [1 / d], lambda n: [ratio(n)]
+        t_m = (-1) ** (m - 1) * s2 ** m / (m * pochhammer(ha, m) * pochhammer(hb, m))
+        return [1 / d, t_m], lambda n: [ratio(n) if n < m // 2 else 0, ratio(n + m)]
 
     return build
 
@@ -538,8 +531,8 @@ def kernel_D(pc: PrecisionContext, a, b, s, route: str = "both", rel_tol=None):
         raise ValueError("the product route needs a != b (diagonal handled by h_1)")
 
     def series_route():
-        _, (total,), (err,) = _drive(pc, _kernel_series(a, b, s))
-        return _rounded(pc, total, err)[0]
+        _, sums, errs = _drive(pc, _kernel_series(a, b, s))
+        return _rounded(pc, sum(sums), sum(errs))[0]
 
     def product_route():
         uma = u_vector(pc, -a, s)
@@ -642,10 +635,7 @@ def _h_k_near_diagonal(pc: PrecisionContext, zs, s):
     k = len(zs)
     s = pc.mpc(s)
     if k == 2:
-        B1 = matrix_B(pc, zs[0], s)
-        B2 = matrix_B(pc, zs[1], s)
-        Q = (B1 - B2) * (1 / (zs[0] - zs[1]))
-        return -(Q * Q).trace() / 2
+        return h_2_difference_form(pc, zs[0], zs[1], s)
     # place the member of the closest pair last
     gap, pair = min(
         ((abs(zs[i] - zs[j]), (i, j)) for i in range(k) for j in range(i + 1, k)),
@@ -747,42 +737,13 @@ def h_1_star(pc: PrecisionContext, z, s, dnu_step=None):
     return pc.mpc(val)
 
 
-def digamma(pc: PrecisionContext, x):
-    """Digamma by upward recurrence to |x| > 20 plus the Bernoulli-number
-    asymptotic series; used only as the relation diagnostic between the two
-    one-point kernels."""
-    ctx = pc.ctx
-    x = pc.mpc(x)
-    shift = ctx.mpc(0)
-    while abs(x) <= 20:
-        shift -= 1 / x
-        x += 1
-    # psi(x) ~ log x - 1/(2x) - sum B_2n / (2n x^2n)
-    val = ctx.log(x) - 1 / (2 * x)
-    x2 = x * x
-    pw = x2
-    n = 1
-    threshold = pc.tol()
-    while True:
-        b = bernoulli_number(2 * n)
-        term = ctx.mpf(b.numerator) / ctx.mpf(b.denominator) / (2 * n) / pw
-        val -= term
-        if abs(term) < threshold * max(abs(val), ctx.mpf(1e-300)):
-            break
-        pw *= x2
-        n += 1
-        if n > 400:  # asymptotic series: stop before divergence
-            break
-    return val + shift
-
-
 def h1_relation_residual(pc: PrecisionContext, z, s):
     """|H1*(z;s) - H1(z;s) - log s + psi(1/2 + z)| (diagnostic)."""
     ctx = pc.ctx
     z = pc.mpc(z)
     s = pc.mpc(s)
     lhs = h_1_star(pc, z, s)
-    rhs = h_1(pc, z, s)[0] + ctx.log(s) - digamma(pc, ctx.mpf(1) / 2 + z)
+    rhs = h_1(pc, z, s)[0] + ctx.log(s) - ctx.digamma(ctx.mpf(1) / 2 + z)
     return abs(lhs - rhs)
 
 

@@ -60,11 +60,13 @@ def load_table(name: str) -> dict:
     return data
 
 
-def _eps0_entry(k: int, g: int) -> dict:
-    for e in load_table("eps0_table.json")["entries"]:
-        if e["k"] == k and e["g"] == g:
+def _table_entry(table: str, k: int, index: str, value: int) -> dict:
+    """The entry of ``<table>_table.json`` for k whose ``index`` ("g" or
+    "d") is ``value``."""
+    for e in load_table(f"{table}_table.json")["entries"]:
+        if e["k"] == k and e[index] == value:
             return e
-    raise KeyError(f"no eps0 table entry for k={k}, g={g}")
+    raise KeyError(f"no {table} table entry for k={k}, {index}={value}")
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +163,6 @@ class GradingError(AssertionError):
 def _check_poly_grading(p: MultiPoly, eigenvalue: int, where: str):
     """Every monomial of a (lam.., q) polynomial must satisfy
     sum(lam exponents) + 2 * (q exponent) = eigenvalue."""
-    qpos = p.vars.index("q") if "q" in p.vars else None
     for e in p.terms:
         w = 0
         for name, x in zip(p.vars, e):
@@ -258,16 +259,12 @@ def _expand_q0_onepoint(D: int) -> RegimeExpansion:
 
 def q0_table_entry(k: int, d: int) -> FactoredRatFun:
     """Tabulated small-q coefficient as a FactoredRatFun (exact target)."""
-    vars_ = _lam_vars(k) + (EPS,)
-    laurent = frozenset({EPS})
-    for e in load_table("q0_table.json")["entries"]:
-        if e["k"] == k and e["d"] == d:
-            num_series = _poly_from_tree(e["num"], vars_, laurent)
-            den = Counter()
-            for f in e["den_factors"]:
-                den[lam_eps_factor(f["var"], Fraction(f["c"]))] += f.get("mult", 1)
-            return FactoredRatFun(num_series, den)
-    raise KeyError(f"no q0 table entry for k={k}, d={d}")
+    e = _table_entry("q0", k, "d", d)
+    num = _poly_from_tree(e["num"], _lam_vars(k) + (EPS,), frozenset({EPS}))
+    den = Counter()
+    for f in e["den_factors"]:
+        den[lam_eps_factor(f["var"], Fraction(f["c"]))] += f.get("mult", 1)
+    return FactoredRatFun(num, den)
 
 
 def _poly_from_tree(tree, variables, laurent=frozenset()) -> MultiPoly:
@@ -305,11 +302,8 @@ def _poly_from_tree(tree, variables, laurent=frozenset()) -> MultiPoly:
 
 
 def einf_table_entry(k: int, g: int) -> MultiPoly:
-    vars_ = _lam_vars(k) + ("q",)
-    for e in load_table("einf_table.json")["entries"]:
-        if e["k"] == k and e["g"] == g:
-            return _poly_from_tree(e["tree"], vars_)
-    raise KeyError(f"no einf table entry for k={k}, g={g}")
+    """Tabulated large-eps coefficient as a polynomial in (lam.., q)."""
+    return _poly_from_tree(_table_entry("einf", k, "g", g)["tree"], _lam_vars(k) + ("q",))
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +356,13 @@ def _unit_exp(variables, name, power):
     return tuple(e)
 
 
-def expand_eps_inf(k: int, G: int) -> RegimeExpansion:
-    """Exact large-epsilon coefficients H_{k,[g]} for g <= G: polynomials in
-    (lam.., q), derived by expanding the small-q kernel data in 1/eps and
-    resumming (only q powers up to g contribute at eps^-2g, by grading)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    D = G  # q^d terms start at eps^-2d
-    q0_data = expand_q0(k, D)
+def _q0_in_inverse_eps(k: int, G: int, D: int) -> MultiSeries:
+    """sum_{d <= D} q^d H_{k,d}, each small-q coefficient expanded in 1/eps
+    through eps^-2G: a series in 1/eps over FactoredRatFun in (lam.., q)."""
     target_vars = _lam_vars(k) + ("q",)
     order = 2 * G
     total = MultiSeries((EPS,), (order,), {}, floors=(-k - 2,), ring="RF")
-    for d, h in q0_data.coefficients:
+    for d, h in expand_q0(k, D).coefficients:
         if h.is_zero():
             continue
         qfac = FactoredRatFun(
@@ -381,6 +370,17 @@ def expand_eps_inf(k: int, G: int) -> RegimeExpansion:
         )
         expanded = _ratfun_eps_expand(h, target_vars, order)
         total = total + expanded.map_coefficients(lambda x: x * qfac, ring="RF")
+    return total
+
+
+def expand_eps_inf(k: int, G: int) -> RegimeExpansion:
+    """Exact large-epsilon coefficients H_{k,[g]} for g <= G: polynomials in
+    (lam.., q), derived by expanding the small-q kernel data in 1/eps and
+    resumming (only q powers up to g contribute at eps^-2g, by grading)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    total = _q0_in_inverse_eps(k, G, G)  # q^d terms start at eps^-2d
+    target_vars = _lam_vars(k) + ("q",)
     coeffs = []
     for g in range(0, G + 1):
         c = total.coefficient_or((2 * g,), FactoredRatFun.zero(target_vars))
@@ -407,22 +407,18 @@ def expand_eps_inf(k: int, G: int) -> RegimeExpansion:
 def q0_einf_consistency(k: int, G: int, D: int | None = None) -> bool:
     """The small-q data re-expanded for large eps must reproduce the exact
     large-eps coefficients: coefficient-wise equality of polynomials in
-    (lam.., q) through q^D, for every g <= G."""
+    (lam.., q) through q^D, for every g <= G.
+
+    :func:`expand_eps_inf` is derived from the same re-expansion, so with
+    D = G both sides are one sum and the check cannot fail.  Nor can it for
+    other D: the q^d term keeps q-degree d, so the large-eps coefficients
+    cut to q-degree <= D are the sum over d <= D.  The independent check of
+    the large-eps regime is its table (:func:`einf_table_entry`)."""
     if D is None:
         D = G
-    q0_data = expand_q0(k, max(D, G))
     einf_data = expand_eps_inf(k, G)
     target_vars = _lam_vars(k) + ("q",)
-    order = 2 * G
-    total = MultiSeries((EPS,), (order,), {}, floors=(-k - 2,), ring="RF")
-    for d, h in q0_data.coefficients:
-        if h.is_zero() or d > D:
-            continue
-        qfac = FactoredRatFun(
-            MultiPoly(target_vars, {_unit_exp(target_vars, "q", d): Fraction(1)})
-        )
-        expanded = _ratfun_eps_expand(h, target_vars, order)
-        total = total + expanded.map_coefficients(lambda x: x * qfac, ring="RF")
+    total = _q0_in_inverse_eps(k, G, D)
     for g in range(0, G + 1):
         lhs = total.coefficient_or((2 * g,), FactoredRatFun.zero(target_vars)).reduce()
         rhs = einf_data.coefficient(g)
@@ -440,7 +436,7 @@ def eps0_series_coefficients(k: int, g: int, lam_order: int, d_max: int) -> dict
     """Exact (1/lam.., q) expansion of a tabulated small-eps closed form in
     the canonical region; returns {(t_1..t_k, d): Fraction} restricted to
     non-negative inverse indices."""
-    tree = _eps0_entry(k, g)["tree"]
+    tree = _table_entry("eps0", k, "g", g)["tree"]
     svars = _lam_vars(k) + ("q",)
     # The evaluation window must exceed the read window on BOTH sides by the
     # largest positive variable degree in the tree (after an inversion,
@@ -583,7 +579,7 @@ def verify_eps0(k: int, g_max: int, lams, q, eps_list, tolerance=0.25) -> Regime
     for lam in lams:
         if not (0 < 2 * mpmath.sqrt(q) / lam < 1):
             raise ValueError(f"lam = {lam} outside the admissible region")
-    entries = [(g, _eps0_entry(k, g)["tree"]) for g in range(0, g_max + 1)]
+    entries = [(g, _table_entry("eps0", k, "g", g)["tree"]) for g in range(0, g_max + 1)]
     remainders = []
     pc = PrecisionContext()
     ctx = pc.ctx

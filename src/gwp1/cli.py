@@ -1,9 +1,10 @@
 """Command-line surface: computation dispatch, persistence and caching.
 
-Exit codes: 0 success, 2 validation error or a precision beyond the working
-cap (``analytic.PrecisionCapError``: the requested bits plus the bits lost to
-cancellation exceed ``analytic.MAX_WORKING_BITS``), 3 numerical route
-disagreement, 4 insufficient series order.  Results are emitted as
+Exit codes: 0 success, 2 validation error (a pole of a series included) or a
+precision beyond the working cap (``analytic.PrecisionCapError``: the
+requested bits plus the bits lost to cancellation exceed
+``analytic.MAX_WORKING_BITS``), 3 numerical route disagreement, 4
+insufficient series order.  Results are emitted as
 deterministic JSON (sorted keys, decimal-string numbers) or flat CSV for
 coefficient tables.
 """
@@ -383,32 +384,18 @@ def regime_cmd(ctx, name, k, dmax, gmax):
         sys.exit(EXIT_VALIDATION)
 
     def compute():
-        if name == "q0":
-            data = asymptotics.expand_q0(k, dmax)
+        if name in ("q0", "einf"):
+            # the q0 table starts at d = 1, the einf table at g = 0
+            expand, table_entry, order, first = {
+                "q0": (asymptotics.expand_q0, asymptotics.q0_table_entry, dmax, 1),
+                "einf": (asymptotics.expand_eps_inf, asymptotics.einf_table_entry, gmax, 0),
+            }[name]
+            data = expand(k, order)
             payload = data.to_json()
             matches = {}
-            for d in range(1, dmax + 1):
+            for i in range(first, order + 1):
                 try:
-                    matches[str(d)] = bool(
-                        data.coefficient(d) == asymptotics.q0_table_entry(k, d)
-                    )
-                except KeyError:
-                    continue
-            payload["table_match"] = matches
-            if matches and not all(matches.values()):
-                click.echo("derived coefficients disagree with the table", err=True)
-                sys.exit(EXIT_ROUTE_DISAGREEMENT)
-            payload["pass"] = True
-            return _dumps(payload)
-        if name == "einf":
-            data = asymptotics.expand_eps_inf(k, gmax)
-            payload = data.to_json()
-            matches = {}
-            for g in range(0, gmax + 1):
-                try:
-                    matches[str(g)] = bool(
-                        data.coefficient(g) == asymptotics.einf_table_entry(k, g)
-                    )
+                    matches[str(i)] = bool(data.coefficient(i) == table_entry(k, i))
                 except KeyError:
                     continue
             payload["table_match"] = matches

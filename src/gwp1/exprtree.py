@@ -9,17 +9,18 @@ Nodes are dicts: {"op": ..., "args": [...]} plus per-op payload:
     {"op": "div", "args": [num, den]}
     {"op": "pow", "args": [x], "value": "p" or "p/2"}   (rational exponent)
 
-Two evaluators: a numeric one over an mpmath context, and an exact one over
-truncated multi-variable series (used to q-expand closed forms for the
-cross-regime bridges).  Both are total on the schema above.
+Two evaluators: a numeric one over an mpmath context, and an exact one that
+expands a tree in a windowed Laurent box of a region (:class:`BoxSeries`,
+used to expand closed forms for the cross-regime bridges).  The numeric one
+is total on the schema above; the exact one takes every op but sin and cos.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from gwp1.ring.numbers import rat_from_str
-from gwp1.ring.series import MultiSeries
 
 
 class TableEntryError(ValueError):
@@ -108,171 +109,16 @@ def eval_numeric(tree, ctx, env):
 
 
 # ---------------------------------------------------------------------------
-# exact series evaluation
+# windowed exact evaluation in a region-ordered Laurent box
 # ---------------------------------------------------------------------------
-
-
-def _lead_monomial(series: MultiSeries):
-    """Componentwise-minimal index of a series; must be unique, and every
-    other term must dominate it componentwise (so the series factors as
-    c * X^m0 * (1 + higher))."""
-    if series.is_zero():
-        raise TableEntryError("lead of the zero series")
-    lead = None
-    for idx in series.terms:
-        if lead is None:
-            lead = idx
-        else:
-            lead = tuple(min(a, b) for a, b in zip(lead, idx))
-    if lead not in series.terms:
-        raise TableEntryError("series has no componentwise-minimal lead term")
-    return lead
-
-
-def _unit_split(series: MultiSeries):
-    """Split as (c0, m0, one_plus_v) with one_plus_v = 1 + strictly-higher
-    terms and c0 rational."""
-    m0 = _lead_monomial(series)
-    c0 = series.terms[m0]
-    if not isinstance(c0, (int, Fraction)):
-        raise TableEntryError("exact evaluation requires rational coefficients")
-    c0 = Fraction(c0)
-    shifted = {}
-    for idx, c in series.terms.items():
-        nidx = tuple(a - b for a, b in zip(idx, m0))
-        shifted[nidx] = Fraction(c) / c0
-    orders = tuple(o - m for o, m in zip(series.orders, m0))
-    floors = tuple(f - m for f, m in zip(series.floors, m0))
-    unit = MultiSeries(series.vars, orders, shifted, floors, series.ring)
-    return c0, m0, unit
-
-
-def _monomial_series(template: MultiSeries, m0, coeff) -> MultiSeries:
-    """Single exact monomial coeff * X^m0, with a box wide enough to hold it
-    and orders high enough that products only charge the index shift."""
-    floors = tuple(min(f, m) for f, m in zip(template.floors, m0))
-    orders = tuple(o + abs(m) + 1 for o, m in zip(template.orders, m0))
-    return MultiSeries(template.vars, orders, {tuple(m0): coeff}, floors, template.ring)
-
-
-def _series_inverse(series: MultiSeries) -> MultiSeries:
-    c0, m0, unit = _unit_split(series)
-    inv_unit = unit.inverse()
-    neg_m0 = tuple(-m for m in m0)
-    return _monomial_series(inv_unit, neg_m0, Fraction(1) / c0) * inv_unit
-
-
-def _series_sqrt(series: MultiSeries) -> MultiSeries:
-    c0, m0, unit = _unit_split(series)
-    if any(m % 2 for m in m0):
-        raise TableEntryError("sqrt of a series with odd lead exponents")
-    num_r = _isqrt_exact(c0.numerator)
-    den_r = _isqrt_exact(c0.denominator)
-    if num_r is None or den_r is None:
-        raise TableEntryError(f"sqrt of non-square lead coefficient {c0}")
-    half_m0 = tuple(m // 2 for m in m0)
-    # (1 + v)^(1/2) = sum_j C(1/2, j) v^j
-    v = unit - MultiSeries.const(unit.vars, unit.orders, Fraction(1), unit.floors, unit.ring)
-    total_order = sum(unit.orders) + 1
-    acc = MultiSeries.const(unit.vars, unit.orders, Fraction(1), unit.floors, unit.ring)
-    term = acc
-    coeff = Fraction(1)
-    for j in range(1, total_order + 1):
-        coeff = coeff * (Fraction(1, 2) - (j - 1)) / j
-        term = term * v
-        if term.is_zero():
-            break
-        acc = acc + term.scale(coeff)
-    return _monomial_series(acc, half_m0, Fraction(num_r, den_r)) * acc
 
 
 def _isqrt_exact(n: int):
+    """The square root of n when n is the square of an integer, else None."""
     if n < 0:
         return None
-    r = int(n**0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
-
-
-def _series_log1p(series: MultiSeries) -> MultiSeries:
-    zero_idx = (0,) * len(series.vars)
-    if series.terms.get(zero_idx) != 1:
-        raise TableEntryError("log requires a series with constant term 1")
-    v = series - MultiSeries.const(
-        series.vars, series.orders, Fraction(1), series.floors, series.ring
-    )
-    total_order = sum(series.orders) + 1
-    acc = MultiSeries.zero(series.vars, series.orders, series.floors, series.ring)
-    term = MultiSeries.const(series.vars, series.orders, Fraction(1), series.floors, series.ring)
-    for j in range(1, total_order + 1):
-        term = term * v
-        if term.is_zero():
-            break
-        acc = acc + term.scale(Fraction((-1) ** (j + 1), j))
-    return acc
-
-
-def eval_series(tree, env: dict) -> MultiSeries:
-    """Exact evaluation into truncated series.  ``env`` maps variable names
-    to MultiSeries over one shared box (no "pi" in exact mode)."""
-    op = tree["op"]
-    if op == "num":
-        template = next(iter(env.values()))
-        return MultiSeries.const(
-            template.vars, template.orders, rat_from_str(tree["value"]),
-            template.floors, template.ring,
-        )
-    if op == "var":
-        name = tree["name"]
-        if name not in env:
-            raise TableEntryError(f"variable {name!r} not available in exact mode")
-        return env[name]
-    if op == "add":
-        args = [eval_series(a, env) for a in tree["args"]]
-        total = args[0]
-        for a in args[1:]:
-            total = total + a
-        return total
-    if op == "mul":
-        args = [eval_series(a, env) for a in tree["args"]]
-        total = args[0]
-        for a in args[1:]:
-            total = total * a
-        return total
-    if op == "neg":
-        return -eval_series(tree["args"][0], env)
-    if op == "div":
-        return eval_series(tree["args"][0], env) * _series_inverse(
-            eval_series(tree["args"][1], env)
-        )
-    if op == "sqrt":
-        return _series_sqrt(eval_series(tree["args"][0], env))
-    if op == "log":
-        return _series_log1p(eval_series(tree["args"][0], env))
-    if op == "pow":
-        ex = rat_from_str(tree["value"])
-        base = eval_series(tree["args"][0], env)
-        if ex.denominator == 2:
-            base = _series_sqrt(base)
-            ex = Fraction(ex.numerator)
-        n = int(ex)
-        if n < 0:
-            base = _series_inverse(base)
-            n = -n
-        result = MultiSeries.const(
-            base.vars, base.orders, Fraction(1), base.floors, base.ring
-        )
-        for _ in range(n):
-            result = result * base
-        return result
-    raise TableEntryError(f"op {op} not supported in exact mode")
-
-
-# ---------------------------------------------------------------------------
-# windowed exact evaluation in a region-ordered Laurent box
-# ---------------------------------------------------------------------------
+    r = isqrt(n)
+    return r if r * r == n else None
 
 
 class BoxSeries:

@@ -37,10 +37,6 @@ def _s_poly(terms):
     return MultiPoly(S_VARS, terms)
 
 
-def _s_const(v):
-    return MultiPoly.const(S_VARS, v)
-
-
 def _ne_const(v):
     return MultiPoly.const(NE_VARS, v)
 
@@ -452,18 +448,6 @@ class WFormalSeries:
     w1: MultiSeries
     w2: MultiSeries
     order: int
-
-    def entry_parts(self):
-        """((re, im) for each of the four entries), im coefficients real."""
-        half = MultiSeries.const((SQ,), (self.order,), _le_const(Fraction(1, 2)), ring=RING_LE)
-        zero = MultiSeries.zero((SQ,), (self.order,), ring=RING_LE)
-        w2_shift = self.w2.map_coefficients(lambda p: p.subs_poly("lam", _lam_minus_eps()))
-        return (
-            (half, -self.w1),
-            (zero, w2_shift),
-            (zero, -self.w2),
-            (half, self.w1),
-        )
 
     def trace(self) -> MultiSeries:
         half = MultiSeries.const((SQ,), (self.order,), _le_const(Fraction(1, 2)), ring=RING_LE)

@@ -6,13 +6,12 @@ from gwp1.ring.numbers import (
     Rational,
     rat_from_str,
     rat_to_str,
-    binomial,
     bernoulli_number,
     bernoulli_poly,
     pochhammer,
 )
 from gwp1.ring.poly import MultiPoly
-from gwp1.ring.series import MultiSeries, geometric_expand
+from gwp1.ring.series import MultiSeries
 from gwp1.ring.ratfun import FactoredRatFun, lam_eps_factor, diff_factor
 from gwp1.ring.mat2 import Mat2
 
@@ -20,13 +19,11 @@ __all__ = [
     "Rational",
     "rat_from_str",
     "rat_to_str",
-    "binomial",
     "bernoulli_number",
     "bernoulli_poly",
     "pochhammer",
     "MultiPoly",
     "MultiSeries",
-    "geometric_expand",
     "FactoredRatFun",
     "lam_eps_factor",
     "diff_factor",

@@ -31,16 +31,6 @@ def rat_from_str(s: str) -> Fraction:
     return Fraction(s)
 
 
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient with C(n, k) = 0 for k < 0 or k > n >= 0."""
-    if k < 0:
-        return 0
-    if n >= 0:
-        return comb(n, k) if k <= n else 0
-    # negative upper index: C(n, k) = (-1)^k C(k - n - 1, k)
-    return (-1) ** k * comb(k - n - 1, k)
-
-
 def coset_reps(k: int, first: int = 1):
     """One ordering per cyclic coset of the k labels first, ..., first + k - 1:
     the orderings that keep ``first`` in front."""

@@ -193,12 +193,6 @@ class MultiPoly:
             return -1
         return max(e[i] for e in self.terms)
 
-    def min_degree(self, name: str) -> int:
-        i = self.vars.index(name)
-        if not self.terms:
-            return 0
-        return min(e[i] for e in self.terms)
-
     def coefficient_of(self, name: str, power: int) -> "MultiPoly":
         """Coefficient of name**power, as a polynomial with the exponent zeroed."""
         i = self.vars.index(name)
@@ -209,9 +203,6 @@ class MultiPoly:
                 e2[i] = 0
                 terms[tuple(e2)] = c
         return self._wrap(terms)
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), _ZERO)
 
     # ----- substitutions --------------------------------------------------
     def subs_shift(self, name: str, delta) -> "MultiPoly":

@@ -366,33 +366,3 @@ def _coeff_one_like(c):
     if isinstance(c, (int, Fraction)):
         return Fraction(1)
     return c.one()
-
-
-def geometric_expand(
-    variables, orders, i: str, j: str, N: int, floors=None, ring: str = "QQ", one=None
-) -> MultiSeries:
-    """Expansion of 1/(v_i - v_j) in the region |v_i| > |v_j|:
-
-        sum_{m=0}^{N} v_i**-(m+1) v_j**m.
-
-    The swapped region gives the negative of the swapped expansion.  Every
-    term carries total inverse-degree one, so generating N at least as large
-    as the downstream extraction budget keeps products exact.
-    """
-    if i == j:
-        raise ValueError("geometric_expand requires distinct variables")
-    variables = tuple(variables)
-    ii = variables.index(i)
-    jj = variables.index(j)
-    if one is None:
-        one = Fraction(1)
-    terms = {}
-    for m in range(N + 1):
-        idx = [0] * len(variables)
-        idx[ii] = m + 1
-        idx[jj] = -m
-        terms[tuple(idx)] = one
-    if floors is None:
-        floors = [0] * len(variables)
-        floors[jj] = -N
-    return MultiSeries(variables, orders, terms, floors, ring)

@@ -25,8 +25,8 @@ from gwp1.asymptotics import (
 from gwp1.exprtree import (
     BoxSeries,
     TableEntryError,
+    eval_box_series,
     eval_numeric,
-    eval_series,
     grading_scaling_check,
     validate_tree,
 )
@@ -201,10 +201,7 @@ class TestExprTrees:
         ctx = mpmath.mp
         val = eval_numeric(tree, ctx, {"q": ctx.mpf("0.25")})
         assert abs(val - (3 * 0.0625 - 0.5)) < 1e-15
-        from gwp1.ring.series import MultiSeries
-
-        env = {"q": MultiSeries(("q",), (4,), {(1,): Fraction(1)})}
-        series = eval_series(tree, env)
+        series = eval_box_series(tree, ("q",), (0,), (4,))
         assert series.terms == {(0,): Fraction(-1, 2), (2,): Fraction(3)}
 
     def test_box_series_sqrt_log(self):
@@ -219,6 +216,12 @@ class TestExprTrees:
         assert root.coefficient((2,)) == -2
         logv = (one + (-q)).inverse().log()
         assert logv.coefficient((3,)) == Fraction(1, 3)
+
+    def test_box_series_sqrt_of_a_large_square(self):
+        # a float square root misses squares above about 2^106
+        root = Fraction(2**60 + 12345, 3**41)
+        square = BoxSeries.constant(root * root, ("q",), (0,), (2,))
+        assert square.sqrt().terms == {(0,): root}
 
     def test_box_series_region_division(self):
         # q / (lam1 - lam2)^2 in the region lam1 > lam2: leading term

@@ -1,5 +1,6 @@
 """CLI contract: dispatch, exit codes, determinism and cache transparency."""
 
+import hashlib
 import json
 
 import mpmath
@@ -163,3 +164,36 @@ def test_eval_coincident_points_exit_code(runner, tmp_path):
                                   "--args", "0.3;0.3;1.1"])
     assert result.exit_code == 2
     assert "distinct" in result.output
+
+
+@pytest.mark.parametrize("args,sha256", [
+    (["--name", "q0", "--k", "2", "--dmax", "3"],
+     "0c9145dbe7db91ab62282749da72c4e68cdbb3d2c0ac4edaea18db31a6b0bb6c"),
+    (["--name", "einf", "--k", "3", "--gmax", "3"],
+     "fb15731732f1bfff129eeabb9938aba3556200596b363d7d15531e9acb25a85a"),
+])
+def test_exact_regime_payloads_are_pinned(runner, tmp_path, args, sha256):
+    result = invoke(runner, tmp_path, "--no-cache", "regime", *args)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == sha256
+
+
+def test_eval_kernel_series_at_an_integer_gap(runner, tmp_path):
+    # a - b = 2: the term ratio into n = 2 is 0/0 (a ZeroDivisionError before)
+    result = invoke(runner, tmp_path, "eval", "--op", "D", "--args", "2.25;0.25;1.1",
+                    "--route", "series")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["value"]["re"].startswith("-0.0625950261024956833531293")
+
+
+@pytest.mark.parametrize("op,args,route", [
+    ("j", "-0.5;1.3", None),
+    ("J", "-1;1.3", None),
+    ("Dstar", "0.5;0.25;1.1", None),
+    ("D", "0.3;0.3;1.1", "series"),
+])
+def test_eval_series_pole_exit_code(runner, tmp_path, op, args, route):
+    result = invoke(runner, tmp_path, "eval", "--op", op, "--args", args,
+                    *(["--route", route] if route else []))
+    assert result.exit_code == 2
+    assert "pole" in result.output

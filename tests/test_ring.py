@@ -13,7 +13,6 @@ from gwp1.ring import (
     MultiPoly,
     MultiSeries,
     bernoulli_poly,
-    geometric_expand,
     pochhammer,
     rat_from_str,
     rat_to_str,
@@ -145,19 +144,6 @@ def test_series_ring_tags_never_coerce():
     b = MultiSeries(("z",), (3,), {(1,): MultiPoly.const(("s",), 1)}, ring="QQ[s]")
     with pytest.raises(RingTagMismatch):
         a + b
-
-
-def test_geometric_expand():
-    g = geometric_expand(("l1", "l2"), (4, 4), "l1", "l2", 4)
-    assert g.terms[(1, 0)] == 1 and g.terms[(3, -2)] == 1
-    # multiplied by (l1 - l2) it telescopes to 1 within the valid box
-    lin = MultiSeries(("l1", "l2"), (4, 4),
-                      {(-1, 0): Fraction(1), (0, -1): Fraction(-1)}, floors=(-1, -1))
-    prod = lin * g
-    inside = {i: c for i, c in prod.terms.items() if all(x >= 0 for x in i)}
-    assert inside == {(0, 0): Fraction(1)}
-    swapped = geometric_expand(("l1", "l2"), (4, 4), "l2", "l1", 4)
-    assert swapped.terms[(0, 1)] == 1 and swapped.terms[(-2, 3)] == 1
 
 
 def test_series_shift_preserves_order():
