@@ -30,6 +30,7 @@ from gwp1.resolvent import (
     matrix_difference_residual,
     alpha_from_difference_equation,
     formal_W,
+    substitute_shifted,
 )
 from gwp1.correlators import (
     CorrelatorKey,
@@ -38,7 +39,6 @@ from gwp1.correlators import (
     extract_invariant,
     one_point_series,
     one_point_qseries_oracle,
-    substitute_shifted,
 )
 
 __version__ = "0.1.0"

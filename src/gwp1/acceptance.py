@@ -7,6 +7,7 @@ functions back the pytest acceptance module and the CLI selftest command.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,10 +45,22 @@ class CriterionResult:
         }
 
 
-def _timed(fn):
-    t0 = time.time()
-    passed, detail, checks = fn()
-    return passed, time.time() - t0, detail, checks
+def _criterion(name: str, limit: float | None = None):
+    """Turn a check body returning (passed, detail, checks) into a criterion
+    that times it; with a limit in seconds, a slower run fails."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def run() -> CriterionResult:
+            t0 = time.time()
+            passed, detail, checks = body()
+            rt = time.time() - t0
+            passed = passed and (limit is None or rt < limit)
+            return CriterionResult(name, passed, rt, detail, checks)
+
+        return run
+
+    return wrap
 
 
 def _ne(terms) -> MultiPoly:
@@ -73,116 +86,94 @@ FIRST_GAMMA = {
 }
 
 
-def criterion_1() -> CriterionResult:
-    def run():
-        report = resolvent.cross_check_routes(20)
-        rec = resolvent.recursion_resolvent(6)
-        checks = [("cross_check_routes(20)", report.ok)]
-        for idx, want in FIRST_ALPHA.items():
-            got = rec.alpha.coefficient_or((idx,), MultiPoly.zero(NE))
-            checks.append((f"alpha lam^-{idx}", got == want))
-        for idx, want in FIRST_GAMMA.items():
-            got = rec.gamma.coefficient_or((idx,), MultiPoly.zero(NE))
-            checks.append((f"gamma lam^-{idx}", got == want))
-        ok = all(c[1] for c in checks)
-        return ok, f"{report.checked} coefficients", checks
-
-    passed, rt, detail, checks = _timed(run)
-    passed = passed and rt < 60
-    return CriterionResult("1 resolvent cross-route exact through order 20, <60s",
-                           passed, rt, detail, checks)
+@_criterion("1 resolvent cross-route exact through order 20, <60s", 60)
+def criterion_1():
+    report = resolvent.cross_check_routes(20)
+    rec = resolvent.recursion_resolvent(6)
+    checks = [("cross_check_routes(20)", report.ok)]
+    for idx, want in FIRST_ALPHA.items():
+        got = rec.alpha.coefficient_or((idx,), MultiPoly.zero(NE))
+        checks.append((f"alpha lam^-{idx}", got == want))
+    for idx, want in FIRST_GAMMA.items():
+        got = rec.gamma.coefficient_or((idx,), MultiPoly.zero(NE))
+        checks.append((f"gamma lam^-{idx}", got == want))
+    ok = all(c[1] for c in checks)
+    return ok, f"{report.checked} coefficients", checks
 
 
 # --- criterion 2: structural residuals at order 20 -------------------------
 
 
-def criterion_2() -> CriterionResult:
-    def run():
-        M = resolvent.closed_form_M(20)
-        det_ok = M.det_series().is_zero()
-        mat = resolvent.matrix_difference_residual(M)
-        mat_ok = all(e.is_zero() for e in mat.entries())
-        scal_ok = resolvent.scalar_difference_residual(M).is_zero()
-        checks = [("det == 0", det_ok), ("shift-commutation == 0", mat_ok),
-                  ("scalar equation == 0", scal_ok)]
-        return all(c[1] for c in checks), "", checks
-
-    passed, rt, detail, checks = _timed(run)
-    return CriterionResult("2 structural residuals vanish exactly at order 20",
-                           passed, rt, detail, checks)
+@_criterion("2 structural residuals vanish exactly at order 20")
+def criterion_2():
+    M = resolvent.closed_form_M(20)
+    det_ok = M.det_series().is_zero()
+    mat = resolvent.matrix_difference_residual(M)
+    mat_ok = all(e.is_zero() for e in mat.entries())
+    scal_ok = resolvent.scalar_difference_residual(M).is_zero()
+    checks = [("det == 0", det_ok), ("shift-commutation == 0", mat_ok),
+              ("scalar equation == 0", scal_ok)]
+    return all(c[1] for c in checks), "", checks
 
 
 # --- criterion 3: large-eps table exactness ---------------------------------
 
 
-def criterion_3() -> CriterionResult:
-    def run():
-        checks = []
-        for k in (1, 2, 3):
-            data = asymptotics.expand_eps_inf(k, 3)
-            for g in range(0, 4):
-                tab = asymptotics.einf_table_entry(k, g)
-                checks.append((f"H_{k},[{g}]", data.coefficient(g) == tab))
-        return all(c[1] for c in checks), f"{len(checks)} entries", checks
-
-    passed, rt, detail, checks = _timed(run)
-    passed = passed and rt < 120
-    return CriterionResult("3 large-eps coefficients match all 12 table entries, <120s",
-                           passed, rt, detail, checks)
+@_criterion("3 large-eps coefficients match all 12 table entries, <120s", 120)
+def criterion_3():
+    checks = []
+    for k in (1, 2, 3):
+        data = asymptotics.expand_eps_inf(k, 3)
+        for g in range(0, 4):
+            tab = asymptotics.einf_table_entry(k, g)
+            checks.append((f"H_{k},[{g}]", data.coefficient(g) == tab))
+    return all(c[1] for c in checks), f"{len(checks)} entries", checks
 
 
 # --- criterion 4: small-q table exactness -----------------------------------
 
 
-def criterion_4() -> CriterionResult:
-    def run():
-        checks = []
-        two = asymptotics.expand_q0(2, 3)
-        for d in (1, 2, 3):
-            checks.append((f"H_2,{d}", two.coefficient(d) == asymptotics.q0_table_entry(2, d)))
-        three = asymptotics.expand_q0(3, 2)
-        for d in (1, 2):
-            checks.append((f"H_3,{d}", three.coefficient(d) == asymptotics.q0_table_entry(3, d)))
-        # one-point: factored route vs the independent series-composed oracle
-        one = asymptotics.expand_q0(1, 6)
-        N = 14
-        oracle = correlators.one_point_qseries_oracle(6, N)
-        from gwp1.asymptotics import _ratfun_lam_box
+@_criterion("4 small-q coefficients match the table and the one-point formula")
+def criterion_4():
+    checks = []
+    two = asymptotics.expand_q0(2, 3)
+    for d in (1, 2, 3):
+        checks.append((f"H_2,{d}", two.coefficient(d) == asymptotics.q0_table_entry(2, d)))
+    three = asymptotics.expand_q0(3, 2)
+    for d in (1, 2):
+        checks.append((f"H_3,{d}", three.coefficient(d) == asymptotics.q0_table_entry(3, d)))
+    # one-point: factored route vs the independent series-composed oracle
+    one = asymptotics.expand_q0(1, 6)
+    N = 14
+    oracle = correlators.one_point_qseries_oracle(6, N)
+    from gwp1.asymptotics import _ratfun_lam_box
 
-        agree = True
-        for d in range(1, 7):
-            box = _ratfun_lam_box(one.coefficient(d), 1, N)
-            for (t,), ep in box.items():
-                if t < 0 or t > N:
-                    continue
-                for p, c in ep.items():
-                    got = oracle.coefficient_or((t,), None)
-                    want = got.terms.get((d, p), Fraction(0)) if got is not None else Fraction(0)
-                    if want != c:
-                        agree = False
-        checks.append(("H_1,d (d<=6) two routes", agree))
-        return all(c[1] for c in checks), "", checks
-
-    passed, rt, detail, checks = _timed(run)
-    return CriterionResult("4 small-q coefficients match the table and the one-point formula",
-                           passed, rt, detail, checks)
+    agree = True
+    for d in range(1, 7):
+        box = _ratfun_lam_box(one.coefficient(d), 1, N)
+        for (t,), ep in box.items():
+            if t < 0 or t > N:
+                continue
+            for p, c in ep.items():
+                got = oracle.coefficient_or((t,), None)
+                want = got.terms.get((d, p), Fraction(0)) if got is not None else Fraction(0)
+                if want != c:
+                    agree = False
+    checks.append(("H_1,d (d<=6) two routes", agree))
+    return all(c[1] for c in checks), "", checks
 
 
 # --- criterion 5: one-point cross-route -------------------------------------
 
 
-def criterion_5() -> CriterionResult:
-    def run():
-        prod = correlators.one_point_series(10)
-        oracle = correlators.one_point_series_oracle(10)
-        alt = correlators.one_point_digamma_form(10)
-        checks = [("production == small-q oracle", prod == oracle),
-                  ("production == digamma organization", prod == alt)]
-        return all(c[1] for c in checks), "exact through order 10", checks
-
-    passed, rt, detail, checks = _timed(run)
-    return CriterionResult("5 one-point routes agree exactly through order 10",
-                           passed, rt, detail, checks)
+@_criterion("5 one-point routes agree exactly through order 10")
+def criterion_5():
+    prod = correlators.one_point_series(10)
+    oracle = correlators.one_point_series_oracle(10)
+    alt = correlators.one_point_digamma_form(10)
+    checks = [("production == small-q oracle", prod == oracle),
+              ("production == digamma organization", prod == alt)]
+    return all(c[1] for c in checks), "exact through order 10", checks
 
 
 # --- criterion 6: analytic identity suite ------------------------------------
@@ -191,118 +182,96 @@ GRID_Z = ("0.3", "1.25+0.45j", "-2.6+0.2j")
 GRID_S = ("0.7", "1.1-0.4j", "2.3")
 
 
-def criterion_6() -> CriterionResult:
-    def run():
-        pc = PrecisionContext(128)
-        ctx = pc.ctx
-        tol30 = ctx.mpf("1e-30")
-        tol28 = ctx.mpf("1e-28")
-        checks = []
-        zs_all = []
-        for zt in GRID_Z:
-            for st in GRID_S:
-                for sign in (1, -1):
-                    z = sign * ctx.mpc(complex(zt.replace(" ", "")))
-                    s = ctx.mpc(complex(st.replace(" ", "")))
-                    zs_all.append((z, s))
-                    B = analytic.matrix_B(pc, z, s)
-                    res = analytic.rank_one_residuals(pc, z, s)
-                    checks.append((
-                        f"tr B == 1 @({zt},{st},{sign})",
-                        B.trace() == 1 and res["entry_trace_residual"] < ctx.mpf("1e-35"),
-                    ))
-                    checks.append(("det B", res["det"] < tol30))
-                    checks.append(("u-factorization", res["u_factorization_rel"] < tol30))
-                    checks.append(("v-factorization", res["v_factorization_rel"] < tol30))
-                    gbb = analytic.gbb_residuals(pc, z, s)
-                    checks.append(("series/Bessel identities", max(gbb) < tol30))
-                    d_s = analytic.kernel_D(pc, z, z - 1, s, route="series")
-                    d_p = analytic.kernel_D(pc, z, z - 1, s, route="product")
-                    rel = abs(d_s - d_p) / max(abs(d_s), ctx.mpf("1e-30"))
-                    checks.append(("kernel route agreement", rel < tol30))
-        # trace vs factorized k-point functions on tuples from the grid
-        s0 = ctx.mpc(complex(GRID_S[1].replace(" ", "")))
-        pts = [ctx.mpc(complex(zt.replace(" ", ""))) for zt in GRID_Z]
-        pts.append(ctx.mpc("0.9", "-0.8"))
-        for k in (2, 3, 4):
-            zz = pts[:k]
-            tr = analytic.h_k(pc, zz, s0, route="trace")
-            fa = analytic.h_k(pc, zz, s0, route="factorized")
-            checks.append((f"H_{k} trace vs factorized", abs(tr - fa) < tol28))
-        bad = [c[0] for c in checks if not c[1]]
-        return not bad, f"{len(checks)} checks" + (f"; failing: {bad[:3]}" if bad else ""), checks
-
-    passed, rt, detail, checks = _timed(run)
-    passed = passed and rt < 60
-    return CriterionResult("6 analytic identity suite at 128 bits on the grid, <60s",
-                           passed, rt, detail, checks)
+@_criterion("6 analytic identity suite at 128 bits on the grid, <60s", 60)
+def criterion_6():
+    pc = PrecisionContext(128)
+    ctx = pc.ctx
+    tol30 = ctx.mpf("1e-30")
+    tol28 = ctx.mpf("1e-28")
+    checks = []
+    zs_all = []
+    for zt in GRID_Z:
+        for st in GRID_S:
+            for sign in (1, -1):
+                z = sign * ctx.mpc(complex(zt.replace(" ", "")))
+                s = ctx.mpc(complex(st.replace(" ", "")))
+                zs_all.append((z, s))
+                B = analytic.matrix_B(pc, z, s)
+                res = analytic.rank_one_residuals(pc, z, s)
+                checks.append((
+                    f"tr B == 1 @({zt},{st},{sign})",
+                    B.trace() == 1 and res["entry_trace_residual"] < ctx.mpf("1e-35"),
+                ))
+                checks.append(("det B", res["det"] < tol30))
+                checks.append(("u-factorization", res["u_factorization_rel"] < tol30))
+                checks.append(("v-factorization", res["v_factorization_rel"] < tol30))
+                gbb = analytic.gbb_residuals(pc, z, s)
+                checks.append(("series/Bessel identities", max(gbb) < tol30))
+                d_s = analytic.kernel_D(pc, z, z - 1, s, route="series")
+                d_p = analytic.kernel_D(pc, z, z - 1, s, route="product")
+                rel = abs(d_s - d_p) / max(abs(d_s), ctx.mpf("1e-30"))
+                checks.append(("kernel route agreement", rel < tol30))
+    # trace vs factorized k-point functions on tuples from the grid
+    s0 = ctx.mpc(complex(GRID_S[1].replace(" ", "")))
+    pts = [ctx.mpc(complex(zt.replace(" ", ""))) for zt in GRID_Z]
+    pts.append(ctx.mpc("0.9", "-0.8"))
+    for k in (2, 3, 4):
+        zz = pts[:k]
+        tr = analytic.h_k(pc, zz, s0, route="trace")
+        fa = analytic.h_k(pc, zz, s0, route="factorized")
+        checks.append((f"H_{k} trace vs factorized", abs(tr - fa) < tol28))
+    bad = [c[0] for c in checks if not c[1]]
+    return not bad, f"{len(checks)} checks" + (f"; failing: {bad[:3]}" if bad else ""), checks
 
 
 # --- criterion 7: asymptotic matching of B against the formal series ---------
 
 
-def criterion_7() -> CriterionResult:
-    def run():
-        pc = PrecisionContext(160)
-        ctx = pc.ctx
-        checks = []
-        for z in (ctx.mpf(30), ctx.mpc(0, 50), ctx.mpc(40, 40)):
-            res, bnd = analytic.asymptotic_matching_residuals(pc, z, 1, N=10)
-            ok = all(r <= b for r, b in zip(res, bnd) if b > 0)
-            checks.append((f"B ~ M at z={z}", ok))
-        return all(c[1] for c in checks), "", checks
-
-    passed, rt, detail, checks = _timed(run)
-    return CriterionResult("7 B matches the formal series within twice the first omitted term",
-                           passed, rt, detail, checks)
+@_criterion("7 B matches the formal series within twice the first omitted term")
+def criterion_7():
+    pc = PrecisionContext(160)
+    ctx = pc.ctx
+    checks = []
+    for z in (ctx.mpf(30), ctx.mpc(0, 50), ctx.mpc(40, 40)):
+        res, bnd = analytic.asymptotic_matching_residuals(pc, z, 1, N=10)
+        ok = all(r <= b for r, b in zip(res, bnd) if b > 0)
+        checks.append((f"B ~ M at z={z}", ok))
+    return all(c[1] for c in checks), "", checks
 
 
 # --- criteria 8-10: regime verifications --------------------------------------
 
 
-def criterion_8() -> CriterionResult:
-    def run():
-        F = mpmath.mpf
-        eps_list = [F(1) / 8, F(1) / 16, F(1) / 32]
-        checks = []
-        for k, gmax, lams in ((1, 2, [5]), (2, 1, [5, 7]), (3, 0, [5, 7, 9])):
-            rep = asymptotics.verify_eps0(k, gmax, lams, 1, eps_list)
-            checks.append((f"k={k} measured {rep.measured_order:.3f} vs {rep.expected_order}",
-                           rep.passed))
-        return all(c[1] for c in checks), "", checks
-
-    passed, rt, detail, checks = _timed(run)
-    passed = passed and rt < 300
-    return CriterionResult("8 small-eps remainder orders within 25%, <5min", passed, rt,
-                           detail, checks)
+@_criterion("8 small-eps remainder orders within 25%, <5min", 300)
+def criterion_8():
+    F = mpmath.mpf
+    eps_list = [F(1) / 8, F(1) / 16, F(1) / 32]
+    checks = []
+    for k, gmax, lams in ((1, 2, [5]), (2, 1, [5, 7]), (3, 0, [5, 7, 9])):
+        rep = asymptotics.verify_eps0(k, gmax, lams, 1, eps_list)
+        checks.append((f"k={k} measured {rep.measured_order:.3f} vs {rep.expected_order}",
+                       rep.passed))
+    return all(c[1] for c in checks), "", checks
 
 
-def criterion_9() -> CriterionResult:
-    def run():
-        eps = 400 / (6 * mpmath.pi)  # phase-locks the oscillatory factors
-        checks = []
-        for k, lams in ((1, [5]), (2, [5, 7])):
-            rep = asymptotics.verify_q_inf(k, 3, lams, eps, [10**4, 4 * 10**4])
-            checks.append((f"k={k} measured {rep.measured_order:.3f} vs {rep.expected_order}",
-                           rep.passed))
-        return all(c[1] for c in checks), "", checks
-
-    passed, rt, detail, checks = _timed(run)
-    return CriterionResult("9 large-q residual decay order within 30%", passed, rt,
-                           detail, checks)
+@_criterion("9 large-q residual decay order within 30%")
+def criterion_9():
+    eps = 400 / (6 * mpmath.pi)  # phase-locks the oscillatory factors
+    checks = []
+    for k, lams in ((1, [5]), (2, [5, 7])):
+        rep = asymptotics.verify_q_inf(k, 3, lams, eps, [10**4, 4 * 10**4])
+        checks.append((f"k={k} measured {rep.measured_order:.3f} vs {rep.expected_order}",
+                       rep.passed))
+    return all(c[1] for c in checks), "", checks
 
 
-def criterion_10() -> CriterionResult:
-    def run():
-        rep = asymptotics.debye_check([40, 80], 0.6)
-        ratio = mpmath.mpf(rep.detail["residuals"][0]) / mpmath.mpf(rep.detail["residuals"][1])
-        ok = abs(ratio / 8 - 1) < 0.3
-        return ok and rep.passed, f"residual ratio {float(ratio):.2f} ~ 8", [
-            ("nu^-3 scaling", ok)]
-
-    passed, rt, detail, checks = _timed(run)
-    return CriterionResult("10 Bessel large-order residual scales as nu^-3 within 30%",
-                           passed, rt, detail, checks)
+@_criterion("10 Bessel large-order residual scales as nu^-3 within 30%")
+def criterion_10():
+    rep = asymptotics.debye_check([40, 80], 0.6)
+    ratio = mpmath.mpf(rep.detail["residuals"][0]) / mpmath.mpf(rep.detail["residuals"][1])
+    ok = abs(ratio / 8 - 1) < 0.3
+    return ok and rep.passed, f"residual ratio {float(ratio):.2f} ~ 8", [
+        ("nu^-3 scaling", ok)]
 
 
 # --- criterion 11: invariant properties ---------------------------------------
@@ -340,67 +309,63 @@ def _permutation_keys():
     return keys
 
 
-def criterion_11() -> CriterionResult:
-    def run():
-        checks = []
-        # parity vanishing: the x^0 slice of the series coefficient is zero
-        pk = _parity_keys()
-        parity_ok = True
-        for k, ins in pk:
-            coeff = correlators.f_k_polar_coefficient(k, [i + 2 for i in ins], x_cap=0)
-            if not coeff.is_zero():
-                parity_ok = False
-        checks.append((f"parity vanishing on {len(pk)} keys", parity_ok and len(pk) >= 50))
-        # permutation symmetry; the shuffled key is read in a shuffled region,
-        # so a key with equal ladders still compares two different contractions
-        perm_ok = True
-        import random
+@_criterion("11 invariant properties (parity, symmetry, region, oracles)")
+def criterion_11():
+    checks = []
+    # parity vanishing: the x^0 slice of the series coefficient is zero
+    pk = _parity_keys()
+    parity_ok = True
+    for k, ins in pk:
+        coeff = correlators.f_k_polar_coefficient(k, [i + 2 for i in ins], x_cap=0)
+        if not coeff.is_zero():
+            parity_ok = False
+    checks.append((f"parity vanishing on {len(pk)} keys", parity_ok and len(pk) >= 50))
+    # permutation symmetry; the shuffled key is read in a shuffled region,
+    # so a key with equal ladders still compares two different contractions
+    perm_ok = True
+    import random
 
-        rng = random.Random(77)
-        region_rng = random.Random(78)
-        n_perm = 0
-        for k, ins, g in _permutation_keys():
-            base = correlators.extract_invariant(CorrelatorKey(k=k, insertions=ins, g=g))
-            shuffled = list(ins)
-            rng.shuffle(shuffled)
-            other = correlators.extract_invariant(
-                CorrelatorKey(k=k, insertions=tuple(shuffled), g=g),
-                region=tuple(region_rng.sample(range(1, k + 1), k)),
+    rng = random.Random(77)
+    region_rng = random.Random(78)
+    n_perm = 0
+    for k, ins, g in _permutation_keys():
+        base = correlators.extract_invariant(CorrelatorKey(k=k, insertions=ins, g=g))
+        shuffled = list(ins)
+        rng.shuffle(shuffled)
+        other = correlators.extract_invariant(
+            CorrelatorKey(k=k, insertions=tuple(shuffled), g=g),
+            region=tuple(region_rng.sample(range(1, k + 1), k)),
+        )
+        n_perm += 1
+        if base.value != other.value:
+            perm_ok = False
+    checks.append((f"permutation symmetry on {n_perm} keys", perm_ok and n_perm >= 20))
+    # region independence, k = 3
+    fa = correlators.f_k_series(3, (2, 2, 2), region=(1, 2, 3))
+    fb = correlators.f_k_series(3, (2, 2, 2), region=(3, 2, 1))
+    fc = correlators.f_k_series(3, (2, 2, 2), region=(2, 3, 1))
+    checks.append(("region independence k=3", fa.series == fb.series == fc.series))
+    # the degree-one one-point invariant equals 1, via both routes
+    r = correlators.extract_invariant(CorrelatorKey(k=1, insertions=(0,), g=0))
+    oracle = correlators.one_point_qseries_oracle(1, 2)
+    lead = oracle.coefficient_or((2,), None)
+    oracle_ok = lead is not None and lead.terms.get((1, 0)) == 1
+    checks.append(("<tau_0> at genus 0 equals 1", r.value == 1 and r.d == 1 and oracle_ok))
+    # genus-0 two-point values against the q-expanded closed form
+    table = asymptotics.eps0_series_coefficients(2, 0, 10, 3)
+    two_ok = True
+    for d in (1, 2, 3):
+        for i1 in range(0, 2 * d - 1):
+            i2 = 2 * d - 2 - i1
+            want = table.get((i1 + 2, i2 + 2, d), Fraction(0))
+            got = correlators.extract_invariant(
+                CorrelatorKey(k=2, insertions=(i1, i2), g=0)
             )
-            n_perm += 1
-            if base.value != other.value:
-                perm_ok = False
-        checks.append((f"permutation symmetry on {n_perm} keys", perm_ok and n_perm >= 20))
-        # region independence, k = 3
-        fa = correlators.f_k_series(3, (2, 2, 2), region=(1, 2, 3))
-        fb = correlators.f_k_series(3, (2, 2, 2), region=(3, 2, 1))
-        fc = correlators.f_k_series(3, (2, 2, 2), region=(2, 3, 1))
-        checks.append(("region independence k=3", fa.series == fb.series == fc.series))
-        # the degree-one one-point invariant equals 1, via both routes
-        r = correlators.extract_invariant(CorrelatorKey(k=1, insertions=(0,), g=0))
-        oracle = correlators.one_point_qseries_oracle(1, 2)
-        lead = oracle.coefficient_or((2,), None)
-        oracle_ok = lead is not None and lead.terms.get((1, 0)) == 1
-        checks.append(("<tau_0> at genus 0 equals 1", r.value == 1 and r.d == 1 and oracle_ok))
-        # genus-0 two-point values against the q-expanded closed form
-        table = asymptotics.eps0_series_coefficients(2, 0, 10, 3)
-        two_ok = True
-        for d in (1, 2, 3):
-            for i1 in range(0, 2 * d - 1):
-                i2 = 2 * d - 2 - i1
-                want = table.get((i1 + 2, i2 + 2, d), Fraction(0))
-                got = correlators.extract_invariant(
-                    CorrelatorKey(k=2, insertions=(i1, i2), g=0)
-                )
-                if want != got.value * factorial(i1 + 1) * factorial(i2 + 1) or got.d != d:
-                    two_ok = False
-        checks.append(("two-point genus 0 vs closed form through degree 3", two_ok))
-        bad = [c[0] for c in checks if not c[1]]
-        return not bad, ("failing: " + ", ".join(bad)) if bad else "", checks
-
-    passed, rt, detail, checks = _timed(run)
-    return CriterionResult("11 invariant properties (parity, symmetry, region, oracles)",
-                           passed, rt, detail, checks)
+            if want != got.value * factorial(i1 + 1) * factorial(i2 + 1) or got.d != d:
+                two_ok = False
+    checks.append(("two-point genus 0 vs closed form through degree 3", two_ok))
+    bad = [c[0] for c in checks if not c[1]]
+    return not bad, ("failing: " + ", ".join(bad)) if bad else "", checks
 
 
 ALL_CRITERIA = [
@@ -414,9 +379,7 @@ def quick_checks() -> list[CriterionResult]:
     out = []
 
     def add(name, fn):
-        t0 = time.time()
-        ok = bool(fn())
-        out.append(CriterionResult(name, ok, time.time() - t0))
+        out.append(_criterion(name)(lambda: (bool(fn()), "", []))())
 
     from gwp1.ring.numbers import bernoulli_poly, pochhammer
 

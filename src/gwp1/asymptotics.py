@@ -22,11 +22,11 @@ import mpmath
 
 from gwp1 import analytic
 from gwp1.analytic import PrecisionContext
-from gwp1.exprtree import TableEntryError, eval_numeric, validate_tree
+from gwp1.exprtree import TableEntryError, eval_box_series, eval_numeric, eval_poly, validate_tree
 from gwp1.ring.numbers import coset_reps
 from gwp1.ring.poly import MultiPoly
 from gwp1.ring.ratfun import FactoredRatFun, diff_factor, lam_eps_factor
-from gwp1.ring.series import MultiSeries
+from gwp1.ring.series import MultiSeries, inverse_power
 
 EPS = "eps"
 
@@ -260,50 +260,16 @@ def _expand_q0_onepoint(D: int) -> RegimeExpansion:
 def q0_table_entry(k: int, d: int) -> FactoredRatFun:
     """Tabulated small-q coefficient as a FactoredRatFun (exact target)."""
     e = _table_entry("q0", k, "d", d)
-    num = _poly_from_tree(e["num"], _lam_vars(k) + (EPS,), frozenset({EPS}))
+    num = eval_poly(e["num"], _lam_vars(k) + (EPS,), frozenset({EPS}))
     den = Counter()
     for f in e["den_factors"]:
         den[lam_eps_factor(f["var"], Fraction(f["c"]))] += f.get("mult", 1)
     return FactoredRatFun(num, den)
 
 
-def _poly_from_tree(tree, variables, laurent=frozenset()) -> MultiPoly:
-    """Exact evaluation of a polynomial tree (num/var/add/mul/neg/pow/div-by-num)."""
-    op = tree["op"]
-    if op == "num":
-        return MultiPoly.const(variables, Fraction(tree["value"]), laurent)
-    if op == "var":
-        return MultiPoly.variable(variables, tree["name"], laurent)
-    if op == "add":
-        total = MultiPoly.zero(variables, laurent)
-        for a in tree["args"]:
-            total = total + _poly_from_tree(a, variables, laurent)
-        return total
-    if op == "mul":
-        total = MultiPoly.const(variables, 1, laurent)
-        for a in tree["args"]:
-            total = total * _poly_from_tree(a, variables, laurent)
-        return total
-    if op == "neg":
-        return -_poly_from_tree(tree["args"][0], variables, laurent)
-    if op == "pow":
-        ex = Fraction(tree["value"])
-        if ex.denominator != 1 or ex < 0:
-            raise TableEntryError("polynomial tree: pow must be a non-negative integer")
-        return _poly_from_tree(tree["args"][0], variables, laurent) ** int(ex)
-    if op == "div":
-        den = tree["args"][1]
-        if den["op"] != "num":
-            raise TableEntryError("polynomial tree: division only by constants")
-        return _poly_from_tree(tree["args"][0], variables, laurent) * (
-            1 / Fraction(den["value"])
-        )
-    raise TableEntryError(f"op {op} not allowed in a polynomial tree")
-
-
 def einf_table_entry(k: int, g: int) -> MultiPoly:
     """Tabulated large-eps coefficient as a polynomial in (lam.., q)."""
-    return _poly_from_tree(_table_entry("einf", k, "g", g)["tree"], _lam_vars(k) + ("q",))
+    return eval_poly(_table_entry("einf", k, "g", g)["tree"], _lam_vars(k) + ("q",))
 
 
 # ---------------------------------------------------------------------------
@@ -337,23 +303,12 @@ def _ratfun_eps_expand(r: FactoredRatFun, target_vars, order: int) -> MultiSerie
                 fac = FactoredRatFun(MultiPoly.const(target_vars, 1), Counter([f]))
                 series = series.map_coefficients(lambda x: x * fac, ring="RF")
             else:
+                # 1/(v + c eps) = (1/c) (eps - (-v/c))^-1
                 _, v, c = f
-                inv_terms = {}
-                for m in range(0, order + 2):
-                    coeff = MultiPoly(
-                        target_vars,
-                        {_unit_exp(target_vars, v, m): Fraction((-1) ** m) / c ** (m + 1)},
-                    )
-                    inv_terms[(m + 1,)] = FactoredRatFun(coeff)
-                inv = MultiSeries((EPS,), (order + 2,), inv_terms, floors=(1,), ring="RF")
-                series = series * inv
+                a = FactoredRatFun(MultiPoly.variable(target_vars, v) * (-1 / c))
+                one = FactoredRatFun(MultiPoly.const(target_vars, 1 / c))
+                series = series * inverse_power(EPS, 1, a, order + 2, one, "RF")
     return series
-
-
-def _unit_exp(variables, name, power):
-    e = [0] * len(variables)
-    e[list(variables).index(name)] = power
-    return tuple(e)
 
 
 def _q0_in_inverse_eps(k: int, G: int, D: int) -> MultiSeries:
@@ -365,9 +320,7 @@ def _q0_in_inverse_eps(k: int, G: int, D: int) -> MultiSeries:
     for d, h in expand_q0(k, D).coefficients:
         if h.is_zero():
             continue
-        qfac = FactoredRatFun(
-            MultiPoly(target_vars, {_unit_exp(target_vars, "q", d): Fraction(1)})
-        )
+        qfac = FactoredRatFun(MultiPoly.variable(target_vars, "q", power=d))
         expanded = _ratfun_eps_expand(h, target_vars, order)
         total = total + expanded.map_coefficients(lambda x: x * qfac, ring="RF")
     return total
@@ -445,8 +398,6 @@ def eps0_series_coefficients(k: int, g: int, lam_order: int, d_max: int) -> dict
     margin = 16
     lo = tuple([-(lam_order + 2 * margin)] * k) + (0,)
     hi = tuple([lam_order + margin] * k) + (d_max,)
-    from gwp1.exprtree import eval_box_series
-
     series = eval_box_series(tree, svars, lo, hi)
     return {
         idx: c

@@ -292,8 +292,16 @@ EVAL_ARITY = {"G": (2, 2), "Gt": (2, 2), "j": (2, 2), "J": (2, 2), "B": (2, 2),
               "Hk": (3, None)}
 
 
-def _parse_complex(txt: str) -> complex:
-    return complex(txt.replace(" ", "").replace("i", "j"))
+def _parse_complex(ctx, txt: str):
+    """One argument as a complex number of the mpmath context ``ctx``, read
+    from its digits at the context's precision."""
+    return ctx.mpc(ctx.convert(txt.replace(" ", "").replace("i", "j")))
+
+
+def _echo(ctx, x) -> str:
+    """The text of an argument: Python's repr when binary64 holds it exactly,
+    else its value to the decimal precision of ``ctx``."""
+    return repr(float(x)) if ctx.mpf(float(x)) == x else ctx.nstr(x, ctx.dps)
 
 
 @main.command("eval")
@@ -304,21 +312,22 @@ def _parse_complex(txt: str) -> complex:
 @click.pass_context
 def eval_cmd(ctx, op, args_, route):
     """Numeric evaluation of the analytic objects at the chosen precision."""
-    try:
-        vals = [_parse_complex(v) for v in args_.split(";") if v.strip()]
-    except ValueError as exc:
-        click.echo(f"bad arguments: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
+    texts = [v for v in args_.split(";") if v.strip()]
     fewest, most = EVAL_ARITY[op]
-    if len(vals) < fewest or (most is not None and len(vals) > most):
+    if len(texts) < fewest or (most is not None and len(texts) > most):
         want = f"{fewest}" if fewest == most else f"at least {fewest}"
-        click.echo(f"bad arguments: {op} takes {want} arguments, got {len(vals)}", err=True)
+        click.echo(f"bad arguments: {op} takes {want} arguments, got {len(texts)}", err=True)
         sys.exit(EXIT_VALIDATION)
 
     def compute():
         pc = PrecisionContext(ctx.obj["precision_bits"])
         cx = pc.ctx
         digits = int(pc.bits * 0.301) + 2
+        try:
+            vals = [_parse_complex(cx, v) for v in texts]
+        except (TypeError, ValueError) as exc:
+            click.echo(f"bad arguments: {exc}", err=True)
+            sys.exit(EXIT_VALIDATION)
         diagnostics = {}
         err_bound = None
         try:
@@ -353,7 +362,7 @@ def eval_cmd(ctx, op, args_, route):
         value = cx.mpc(value)
         return _dumps({
             "op": op,
-            "args": [{"re": repr(v.real), "im": repr(v.imag)} for v in vals],
+            "args": [{"re": _echo(cx, v.real), "im": _echo(cx, v.imag)} for v in vals],
             "precision_bits": pc.bits,
             "working_bits": max(log.working_bits, pc.bits),
             "bits_lost": log.bits_lost,
@@ -382,6 +391,10 @@ def regime_cmd(ctx, name, k, dmax, gmax):
     if k < 1 or dmax < 0 or gmax < 0:
         click.echo("k >= 1, dmax >= 0, gmax >= 0 required", err=True)
         sys.exit(EXIT_VALIDATION)
+    lams = [5, 7, 9]
+    if name in ("eps0", "qinf") and k > len(lams):
+        click.echo(f"{name} is checked at lam = 5, 7, 9: k <= 3 required", err=True)
+        sys.exit(EXIT_VALIDATION)
 
     def compute():
         if name in ("q0", "einf"):
@@ -405,12 +418,15 @@ def regime_cmd(ctx, name, k, dmax, gmax):
             payload["pass"] = True
             return _dumps(payload)
         if name == "eps0":
-            lams = [5, 7, 9][:k]
             F = mpmath.mpf
-            rep = asymptotics.verify_eps0(k, gmax, lams, 1, [F(1) / 8, F(1) / 16, F(1) / 32])
+            try:
+                rep = asymptotics.verify_eps0(k, gmax, lams[:k], 1,
+                                              [F(1) / 8, F(1) / 16, F(1) / 32])
+            except KeyError as exc:  # no table entry for some g <= gmax
+                click.echo(exc.args[0], err=True)
+                sys.exit(EXIT_VALIDATION)
         elif name == "qinf":
-            lams = [5, 7, 9][:k]
-            rep = asymptotics.verify_q_inf(k, dmax, lams, 400 / (6 * mpmath.pi),
+            rep = asymptotics.verify_q_inf(k, dmax, lams[:k], 400 / (6 * mpmath.pi),
                                            [10**4, 4 * 10**4])
         else:
             rep = asymptotics.debye_check([40, 80], 0.6)

@@ -22,18 +22,17 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 
-from gwp1.resolvent import closed_form_M
+from gwp1.resolvent import (
+    RING_XE,
+    XE_LAURENT,
+    XE_VARS,
+    InsufficientOrderError,
+    closed_form_M,
+    substitute_shifted,
+)
 from gwp1.ring.numbers import bernoulli_number, bernoulli_poly, coset_reps
 from gwp1.ring.poly import MultiPoly
-from gwp1.ring.series import MultiSeries
-
-XE_VARS = ("x", "eps")
-XE_LAURENT = frozenset({"eps"})
-RING_XE = "QQ[x,eps~]"
-
-
-class InsufficientOrderError(ValueError):
-    """A requested coefficient lies beyond the computed truncation order."""
+from gwp1.ring.series import MultiSeries, inverse_power
 
 
 def _xe_zero() -> MultiPoly:
@@ -46,54 +45,6 @@ def _xe_const(v) -> MultiPoly:
 
 def _xe_mono(xp: int, ep: int, c=Fraction(1)) -> MultiPoly:
     return MultiPoly(XE_VARS, {(xp, ep): Fraction(c)}, XE_LAURENT)
-
-
-def _neg_binom(r: int, m: int) -> int:
-    # coefficient of x^m in (1-x)^-r, i.e. C(r+m-1, m); handles r = 0
-    if m == 0:
-        return 1
-    if r <= 0:
-        return 0
-    return comb(r + m - 1, m)
-
-
-def substitute_shifted(series_in_z: MultiSeries, target: str = "lam", N: int | None = None) -> MultiSeries:
-    """Substitute z = (lam - x)/eps and s = 1/eps, re-expanding in 1/lam.
-
-    z**-r maps to eps^r sum_m C(r+m-1, m) x^m lam^-(r+m); each s-degree d of
-    a coefficient becomes eps^(r-d) (Laurent when d exceeds r).  The output
-    is exact through lam**-N, which cannot exceed the input order.
-    """
-    if series_in_z.vars != ("z",):
-        raise ValueError("input must be a single-variable series in z")
-    n_in = series_in_z.orders[0]
-    if N is None:
-        N = n_in
-    if N > n_in:
-        raise InsufficientOrderError(
-            f"requested order {N} exceeds input validity {n_in}"
-        )
-    out: dict[tuple, MultiPoly] = {}
-    for (r,), coeff in series_in_z.terms.items():
-        # coeff is a polynomial in s
-        base_terms = {}
-        for (d,), c in coeff.terms.items():
-            base_terms[(0, r - d)] = base_terms.get((0, r - d), Fraction(0)) + c
-        base = MultiPoly(XE_VARS, base_terms, XE_LAURENT)
-        for m in range(0, N - r + 1):
-            cb = _neg_binom(r, m)
-            if not cb:
-                continue
-            contrib = base * _xe_mono(m, 0, cb)
-            if contrib.is_zero():
-                continue
-            idx = (r + m,)
-            if idx in out:
-                out[idx] = out[idx] + contrib
-            else:
-                out[idx] = contrib
-    out = {i: p for i, p in out.items() if not p.is_zero()}
-    return MultiSeries((target,), (N,), out, ring=RING_XE)
 
 
 @lru_cache(maxsize=8)
@@ -361,8 +312,8 @@ def one_point_digamma_form(N: int) -> MultiSeries:
     acc = MultiSeries.zero(("lam",), (N,), ring=RING_XE)
     for g in range(1, N // 2 + 1):
         c = Fraction(1 - 2 ** (2 * g - 1)) * bernoulli_number(2 * g) / (2 ** (2 * g) * g)
-        term = _inv_lam_minus_x_pow(2 * g, N).scale(_xe_mono(0, 2 * g - 1, c))
-        acc = acc + term
+        acc = acc + inverse_power("lam", 2 * g, _xe_mono(1, 0), N, _xe_mono(0, 2 * g - 1, c),
+                                  RING_XE)
     xonly = {
         (j,): _xe_mono(j, -1, Fraction(1, j)) for j in range(2, N + 1)
     }
@@ -377,16 +328,8 @@ def one_point_digamma_form(N: int) -> MultiSeries:
                 )
             inner_total = inner_total + _xe_mono(0, j - 1 - 2 * i, s / factorial(i) ** 2)
         if not inner_total.is_zero():
-            acc = acc + _inv_lam_minus_x_pow(j, N).scale(inner_total)
+            acc = acc + inverse_power("lam", j, _xe_mono(1, 0), N, inner_total, RING_XE)
     return acc
-
-
-def _inv_lam_minus_x_pow(t: int, N: int) -> MultiSeries:
-    """(lam - x)^-t as a series in 1/lam with polynomial x-coefficients."""
-    terms = {}
-    for m in range(0, N - t + 1):
-        terms[(t + m,)] = _xe_mono(m, 0, comb(t + m - 1, m))
-    return MultiSeries(("lam",), (N,), terms, ring=RING_XE)
 
 
 QE_VARS = ("q", "eps")
@@ -446,14 +389,13 @@ def one_point_series_oracle(N: int) -> MultiSeries:
             # 1/((lam-x)^2 - c2 eps^2) = sum_m c2^m eps^(2m) (lam-x)^-(2m+2)
             factor = MultiSeries.zero(("lam",), (N,), ring=RING_XE)
             for m in range(0, (N - 2) // 2 + 1):
-                factor = factor + _inv_lam_minus_x_pow(2 + 2 * m, N).scale(
-                    _xe_mono(0, 2 * m, c2**m)
-                )
+                factor = factor + inverse_power("lam", 2 + 2 * m, _xe_mono(1, 0), N,
+                                                _xe_mono(0, 2 * m, c2**m), RING_XE)
             term = term * factor
         acc = acc + term
     for g in range(1, N // 2 + 1):
         c = (1 - Fraction(2) ** (1 - 2 * g)) * bernoulli_number(2 * g) / (2 * g)
-        acc = acc - _inv_lam_minus_x_pow(2 * g, N).scale(_xe_mono(0, 2 * g, c))
+        acc = acc - inverse_power("lam", 2 * g, _xe_mono(1, 0), N, _xe_mono(0, 2 * g, c), RING_XE)
     xonly = {(m,): _xe_mono(m, 0, Fraction(1, m)) for m in range(2, N + 1)}
     acc = acc + MultiSeries(("lam",), (N,), xonly, ring=RING_XE)
     return acc.scale(_xe_mono(0, -1))

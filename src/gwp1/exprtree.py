@@ -9,18 +9,24 @@ Nodes are dicts: {"op": ..., "args": [...]} plus per-op payload:
     {"op": "div", "args": [num, den]}
     {"op": "pow", "args": [x], "value": "p" or "p/2"}   (rational exponent)
 
-Two evaluators: a numeric one over an mpmath context, and an exact one that
-expands a tree in a windowed Laurent box of a region (:class:`BoxSeries`,
-used to expand closed forms for the cross-regime bridges).  The numeric one
-is total on the schema above; the exact one takes every op but sin and cos.
+This is the one module that walks trees.  A single fold serves three
+evaluators, each given a table of operations: a numeric one over an mpmath
+context, an exact one that expands a tree in a windowed Laurent box of a
+region (:class:`BoxSeries`, used to expand closed forms for the
+cross-regime bridges), and an exact polynomial reader.  The numeric one is
+total on the schema above; the windowed one takes every op but sin and cos;
+the polynomial one takes num, var, add, mul, neg, pow and division by a num.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import isqrt
+from functools import reduce
+from math import isqrt, prod
 
 from gwp1.ring.numbers import rat_from_str
+from gwp1.ring.poly import MultiPoly
 
 
 class TableEntryError(ValueError):
@@ -61,51 +67,75 @@ def validate_tree(tree, allowed_vars, path="root"):
 
 
 # ---------------------------------------------------------------------------
-# numeric evaluation
+# evaluation: one fold over the tree, one table of operations per target
 # ---------------------------------------------------------------------------
+
+
+def _fold(tree, ops, target: str):
+    """Evaluate a tree bottom-up: each node becomes ``ops[op](node, values)``,
+    where ``values`` are its evaluated arguments in order."""
+    fn = ops.get(tree["op"])
+    if fn is None:
+        raise TableEntryError(f"op {tree['op']} not supported by the {target} evaluator")
+    return fn(tree, [_fold(a, ops, target) for a in tree.get("args", ())])
 
 
 def eval_numeric(tree, ctx, env):
     """Evaluate over an mpmath context; env maps variable names to values
     ("pi" is supplied automatically)."""
-    op = tree["op"]
-    if op == "num":
-        r = rat_from_str(tree["value"])
+
+    def num(node, _):
+        r = rat_from_str(node["value"])
         return ctx.mpf(r.numerator) / ctx.mpf(r.denominator)
-    if op == "var":
-        name = tree["name"]
-        if name == "pi":
-            return +ctx.pi
-        return env[name]
-    if op == "add":
-        total = ctx.mpf(0)
-        for a in tree["args"]:
-            total += eval_numeric(a, ctx, env)
-        return total
-    if op == "mul":
-        total = ctx.mpf(1)
-        for a in tree["args"]:
-            total *= eval_numeric(a, ctx, env)
-        return total
-    if op == "neg":
-        return -eval_numeric(tree["args"][0], ctx, env)
-    if op == "div":
-        return eval_numeric(tree["args"][0], ctx, env) / eval_numeric(tree["args"][1], ctx, env)
-    if op == "sqrt":
-        return ctx.sqrt(eval_numeric(tree["args"][0], ctx, env))
-    if op == "log":
-        return ctx.log(eval_numeric(tree["args"][0], ctx, env))
-    if op == "sin":
-        return ctx.sin(eval_numeric(tree["args"][0], ctx, env))
-    if op == "cos":
-        return ctx.cos(eval_numeric(tree["args"][0], ctx, env))
-    if op == "pow":
-        ex = rat_from_str(tree["value"])
-        base = eval_numeric(tree["args"][0], ctx, env)
+
+    def power(node, xs):
+        ex = rat_from_str(node["value"])
         if ex.denominator == 1:
-            return base ** int(ex)
-        return ctx.sqrt(base) ** ex.numerator
-    raise TableEntryError(f"unhandled op {op}")
+            return xs[0] ** int(ex)
+        return ctx.sqrt(xs[0]) ** ex.numerator
+
+    # sums and products start at ctx.mpf(0) and ctx.mpf(1), so that every
+    # step rounds in ctx
+    return _fold(tree, {
+        "num": num,
+        "var": lambda node, _: +ctx.pi if node["name"] == "pi" else env[node["name"]],
+        "add": lambda node, xs: sum(xs, ctx.mpf(0)),
+        "mul": lambda node, xs: prod(xs, start=ctx.mpf(1)),
+        "neg": lambda node, xs: -xs[0],
+        "div": lambda node, xs: xs[0] / xs[1],
+        "sqrt": lambda node, xs: ctx.sqrt(xs[0]),
+        "log": lambda node, xs: ctx.log(xs[0]),
+        "sin": lambda node, xs: ctx.sin(xs[0]),
+        "cos": lambda node, xs: ctx.cos(xs[0]),
+        "pow": power,
+    }, "numeric")
+
+
+def eval_poly(tree, variables, laurent=frozenset()) -> MultiPoly:
+    """Exact polynomial of a tree made of num, var, add, mul, neg,
+    non-negative integer pow and division by a number."""
+
+    def power(node, xs):
+        ex = rat_from_str(node["value"])
+        if ex.denominator != 1 or ex < 0:
+            raise TableEntryError("polynomial tree: pow must be a non-negative integer")
+        return xs[0] ** int(ex)
+
+    def div(node, xs):
+        den = node["args"][1]
+        if den["op"] != "num":
+            raise TableEntryError("polynomial tree: division only by constants")
+        return xs[0] * (1 / rat_from_str(den["value"]))
+
+    return _fold(tree, {
+        "num": lambda node, _: MultiPoly.const(variables, rat_from_str(node["value"]), laurent),
+        "var": lambda node, _: MultiPoly.variable(variables, node["name"], laurent),
+        "add": lambda node, xs: sum(xs, MultiPoly.zero(variables, laurent)),
+        "mul": lambda node, xs: prod(xs, start=MultiPoly.const(variables, 1, laurent)),
+        "neg": lambda node, xs: -xs[0],
+        "div": div,
+        "pow": power,
+    }, "polynomial")
 
 
 # ---------------------------------------------------------------------------
@@ -284,48 +314,31 @@ class BoxSeries:
 def eval_box_series(tree, vars_, lo, hi) -> BoxSeries:
     """Exact windowed expansion of a tree in the region given by the slot
     order of ``vars_`` (descending magnitudes, "q" small)."""
-    op = tree["op"]
-    if op == "num":
-        return BoxSeries.constant(rat_from_str(tree["value"]), vars_, lo, hi)
-    if op == "var":
-        if tree["name"] not in vars_:
-            raise TableEntryError(f"variable {tree['name']!r} not present in exact mode")
-        return BoxSeries.variable(tree["name"], vars_, lo, hi)
-    if op == "add":
-        args = [eval_box_series(a, vars_, lo, hi) for a in tree["args"]]
-        total = args[0]
-        for a in args[1:]:
-            total = total + a
-        return total
-    if op == "mul":
-        args = [eval_box_series(a, vars_, lo, hi) for a in tree["args"]]
-        total = args[0]
-        for a in args[1:]:
-            total = total * a
-        return total
-    if op == "neg":
-        return -eval_box_series(tree["args"][0], vars_, lo, hi)
-    if op == "div":
-        return eval_box_series(tree["args"][0], vars_, lo, hi) * eval_box_series(
-            tree["args"][1], vars_, lo, hi
-        ).inverse()
-    if op == "sqrt":
-        return eval_box_series(tree["args"][0], vars_, lo, hi).sqrt()
-    if op == "log":
-        return eval_box_series(tree["args"][0], vars_, lo, hi).log()
-    if op == "pow":
-        ex = rat_from_str(tree["value"])
-        base = eval_box_series(tree["args"][0], vars_, lo, hi)
-        if ex.denominator == 2:
-            base = base.sqrt()
-            ex = Fraction(ex.numerator)
-        n = int(ex)
-        inv = n < 0
+
+    def var(node, _):
+        if node["name"] not in vars_:
+            raise TableEntryError(f"variable {node['name']!r} not present in exact mode")
+        return BoxSeries.variable(node["name"], vars_, lo, hi)
+
+    def power(node, xs):
+        ex = rat_from_str(node["value"])
+        base = xs[0].sqrt() if ex.denominator == 2 else xs[0]
         result = BoxSeries.constant(1, vars_, lo, hi)
-        for _ in range(abs(n)):
+        for _ in range(abs(ex.numerator)):
             result = result * base
-        return result.inverse() if inv else result
-    raise TableEntryError(f"op {op} not supported in windowed exact mode")
+        return result.inverse() if ex < 0 else result
+
+    return _fold(tree, {
+        "num": lambda node, _: BoxSeries.constant(rat_from_str(node["value"]), vars_, lo, hi),
+        "var": var,
+        "add": lambda node, xs: reduce(operator.add, xs),
+        "mul": lambda node, xs: reduce(operator.mul, xs),
+        "neg": lambda node, xs: -xs[0],
+        "div": lambda node, xs: xs[0] * xs[1].inverse(),
+        "sqrt": lambda node, xs: xs[0].sqrt(),
+        "log": lambda node, xs: xs[0].log(),
+        "pow": power,
+    }, "windowed exact")
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ The 2x2 resolvent series is produced by two independent exact routes:
 A third generator solves the scalar third-order difference equation
 order by order and is kept purely for redundancy.  Structural checks
 (unit trace, vanishing determinant, the shift-commutation residual) and the
-exact cross-route comparison after the bispectral variable change are the
-acceptance surface of this module.
+exact cross-route comparison after the bispectral variable change
+(:func:`substitute_shifted`, from which the k-point correlators are also
+built) are the acceptance surface of this module.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import comb, factorial
 
 from gwp1.ring.mat2 import Mat2
 from gwp1.ring.poly import MultiPoly
-from gwp1.ring.series import MultiSeries
+from gwp1.ring.series import MultiSeries, inverse_power
 
 Z = "z"
 LAM = "lam"
@@ -31,6 +32,13 @@ NE_VARS = ("n", "eps")
 RING_S = "QQ[s]"
 RING_NE = "QQ[n,eps]"
 RING_LE = "QQ[lam,eps]"
+XE_VARS = ("x", "eps")
+XE_LAURENT = frozenset({"eps"})
+RING_XE = "QQ[x,eps~]"
+
+
+class InsufficientOrderError(ValueError):
+    """A requested coefficient lies beyond the computed truncation order."""
 
 
 def _s_poly(terms):
@@ -225,20 +233,6 @@ def recursion_resolvent(N: int) -> ResolventSeries:
 # ---------------------------------------------------------------------------
 
 
-def _inv_linear(var: str, c: Fraction, order: int, template: MultiSeries) -> MultiSeries:
-    """Series for 1/(z + c): sum_m (-c)^m z^(-m-1), exact to any order."""
-    one = _series_const(template, 1).terms.get((0,) * len(template.vars), Fraction(1))
-    terms = {}
-    for m in range(order):
-        coeff = one * ((-Fraction(c)) ** m)
-        idx = [0] * len(template.vars)
-        idx[template.vars.index(var)] = m + 1
-        terms[tuple(idx)] = coeff
-    floors = [0] * len(template.vars)
-    floors[template.vars.index(var)] = 1
-    return MultiSeries(template.vars, [order] * len(template.vars), terms, floors, template.ring)
-
-
 def _times_z_minus(series: MultiSeries, var: str, c: Fraction) -> MultiSeries:
     """Multiply by (z - c); costs one order of validity via the z factor."""
     return series.mul_monomial(var, 1) - series.scale(Fraction(c))
@@ -263,9 +257,10 @@ def scalar_difference_residual(R: ResolventSeries | MultiSeries) -> MultiSeries:
     s2 = _s_poly({(2,): Fraction(1)})
     up = one + a + a.shift(Z, 1)
     dn = one + a.shift(Z, -2) + a.shift(Z, -1)
-    part1 = up * _inv_linear(Z, Fraction(1, 2), N + 2, a) - dn * _inv_linear(
-        Z, Fraction(-3, 2), N + 2, a
-    )
+    unit = one.terms[(0,)]
+    inv_up = inverse_power(Z, 1, Fraction(-1, 2), N + 2, unit, a.ring)  # 1/(z + 1/2)
+    inv_dn = inverse_power(Z, 1, Fraction(3, 2), N + 2, unit, a.ring)  # 1/(z - 3/2)
+    part1 = up * inv_up - dn * inv_dn
     part2 = _times_z_minus(a.shift(Z, -1) - a, Z, Fraction(1, 2))
     return part1.scale(s2) + part2
 
@@ -332,8 +327,34 @@ def alpha_from_difference_equation(N: int) -> MultiSeries:
 
 
 # ---------------------------------------------------------------------------
-# cross-route comparison
+# bispectral substitution and cross-route comparison
 # ---------------------------------------------------------------------------
+
+
+def substitute_shifted(series_in_z: MultiSeries, target: str = "lam", N: int | None = None) -> MultiSeries:
+    """Substitute z = (lam - x)/eps and s = 1/eps, re-expanding in 1/lam.
+
+    z**-r maps to eps^r sum_m C(r+m-1, m) x^m lam^-(r+m); each s-degree d of
+    a coefficient becomes eps^(r-d) (Laurent when d exceeds r).  The output
+    is exact through lam**-N, which cannot exceed the input order.
+    """
+    if series_in_z.vars != (Z,):
+        raise ValueError("input must be a single-variable series in z")
+    n_in = series_in_z.orders[0]
+    if N is None:
+        N = n_in
+    if N > n_in:
+        raise InsufficientOrderError(
+            f"requested order {N} exceeds input validity {n_in}"
+        )
+    x = MultiPoly.variable(XE_VARS, "x", XE_LAURENT)
+    out: dict[tuple, MultiPoly] = {}
+    for (r,), coeff in series_in_z.terms.items():
+        # coeff is a polynomial in s
+        base = MultiPoly(XE_VARS, {(0, r - d): c for (d,), c in coeff.terms.items()}, XE_LAURENT)
+        for idx, p in inverse_power(target, r, x, N, base, RING_XE).terms.items():
+            out[idx] = out[idx] + p if idx in out else p
+    return MultiSeries((target,), (N,), out, ring=RING_XE)
 
 
 @dataclass(frozen=True)
@@ -354,42 +375,14 @@ class CrossCheckReport:
         }
 
 
-def _reexpand_closed_entry(entry: MultiSeries, N: int) -> dict[int, MultiPoly]:
-    """Re-expand a closed-form entry through the bispectral variable change
-    z = lam/eps - n, s = 1/eps into coefficients of lam**-(j+1) in Q[n, eps].
-
-    z**-r maps to eps^r sum_m C(r+m-1, m) (n eps)^m lam^-(r+m); the s-degree
-    bound (deg <= r) keeps every coefficient polynomial.
-    """
-    out: dict[int, MultiPoly] = {}
-    for (r,), poly_s in entry.terms.items():
-        if r < 1:
-            raise ValueError("entry must be O(1/z)")
-        # s^d -> eps^(r-d), polynomial by the degree bound
-        base = {}
-        for (d,), cc in poly_s.terms.items():
-            if d > r:
-                raise ValueError(f"s-degree {d} exceeds inverse order {r}")
-            base[(0, r - d)] = base.get((0, r - d), Fraction(0)) + cc
-        base_poly = MultiPoly(NE_VARS, base)
-        for m in range(0, N - r + 1):
-            j = r + m - 1  # lam index r+m = j+1
-            contrib = base_poly * MultiPoly(
-                NE_VARS, {(m, m): Fraction(comb(r + m - 1, m))}
-            )
-            if contrib.is_zero():
-                continue
-            out[j] = out.get(j, MultiPoly.zero(NE_VARS)) + contrib
-    return {j: p for j, p in out.items() if not p.is_zero()}
-
-
 def cross_check_routes(N: int) -> CrossCheckReport:
     """Exact comparison of the two resolvent routes through lam**-N.
 
     The lattice route gives polynomials in (n, eps); the closed form is
-    re-expanded through z = (lam - n eps)/eps, s = 1/eps.  Uniqueness of the
-    resolvent makes exact agreement the expected outcome; any difference is
-    reported with the first differing (entry, index).
+    re-expanded by :func:`substitute_shifted` at x = n eps, so its term
+    x^a eps^b is n^a eps^(a+b).  Uniqueness of the resolvent makes exact
+    agreement the expected outcome; any difference is reported with the
+    first differing (entry, index).
     """
     closed = closed_form_M(N)
     rec = recursion_resolvent(N)
@@ -400,9 +393,12 @@ def cross_check_routes(N: int) -> CrossCheckReport:
         ("gamma", closed.gamma, rec.gamma),
         ("beta", closed.beta, rec.beta),
     ):
-        expected = _reexpand_closed_entry(closed_entry, N)
+        expected = {
+            j: MultiPoly(NE_VARS, {(a, a + b): c for (a, b), c in p.terms.items()})
+            for (j,), p in substitute_shifted(closed_entry, LAM, N).terms.items()
+        }
         for j in range(0, N):
-            want = expected.get(j, zero)
+            want = expected.get(j + 1, zero)
             got = rec_entry.coefficient_or((j + 1,), zero)
             checked += 1
             if want != got:

@@ -353,6 +353,23 @@ class MultiSeries:
         )
 
 
+def inverse_power(var: str, t: int, a, order: int, one, ring: str) -> MultiSeries:
+    """one * (var - a)**-t as a series in 1/var, exact through var**-order:
+
+        sum_m one * C(t+m-1, m) * a^m * var^-(t+m),   floor t.
+
+    ``a`` and ``one`` belong to the coefficient ring; ``one`` may be any
+    scale.  At t = 0 the series is the constant ``one``.
+    """
+    terms = {}
+    coeff = one
+    for m in range(order - t + 1):
+        if m:
+            coeff = coeff * (a * Fraction(t + m - 1, m))
+        terms[(t + m,)] = coeff
+    return MultiSeries((var,), (order,), terms, floors=(t,), ring=ring)
+
+
 def _coeff_is_zero(c) -> bool:
     if isinstance(c, (int, Fraction)):
         return not c

@@ -27,6 +27,7 @@ from gwp1.exprtree import (
     TableEntryError,
     eval_box_series,
     eval_numeric,
+    eval_poly,
     grading_scaling_check,
     validate_tree,
 )
@@ -152,8 +153,8 @@ class TestTables:
 
     def test_grading_euler_scaling(self):
         # every closed-form entry scales with its declared grading weight
-        ctx = mpmath.mp
-        mpmath.mp.prec = 160
+        ctx = mpmath.mp.clone()  # the global mpmath.mp keeps its precision
+        ctx.prec = 160
         env = {"lam1": ctx.mpf(5), "lam2": ctx.mpf(7), "lam3": ctx.mpf(9),
                "q": ctx.mpf("1.3"), "eps": ctx.mpf("0.37")}
         for e in load_table("eps0_table.json")["entries"]:
@@ -170,8 +171,8 @@ class TestTables:
         # V0 + 1 - sqrt(1-z^2) - log z + log(1 + sqrt(1-z^2)) == 0
         from gwp1.asymptotics import DebyeCoefficients
 
-        ctx = mpmath.mp
-        mpmath.mp.prec = 120
+        ctx = mpmath.mp.clone()  # the global mpmath.mp keeps its precision
+        ctx.prec = 120
         coeffs = DebyeCoefficients.load()
         for zeta in (ctx.mpf("0.3"), ctx.mpf("0.6"), ctx.mpf("0.9")):
             root = ctx.sqrt(1 - zeta * zeta)
@@ -203,6 +204,8 @@ class TestExprTrees:
         assert abs(val - (3 * 0.0625 - 0.5)) < 1e-15
         series = eval_box_series(tree, ("q",), (0,), (4,))
         assert series.terms == {(0,): Fraction(-1, 2), (2,): Fraction(3)}
+        poly = eval_poly(tree, ("q",))
+        assert poly.terms == {(0,): Fraction(-1, 2), (2,): Fraction(3)}
 
     def test_box_series_sqrt_log(self):
         # sqrt(1 - 4q) and log(1/(1 - q)) expansions
@@ -241,8 +244,8 @@ class TestExprTrees:
         tree = next(e for e in load_table("eps0_table.json")["entries"]
                     if e["k"] == 2 and e["g"] == 0)["tree"]
         coeffs = eps0_series_coefficients(2, 0, 12, 4)
-        ctx = mpmath.mp
-        mpmath.mp.prec = 200
+        ctx = mpmath.mp.clone()  # the global mpmath.mp keeps its precision
+        ctx.prec = 200
         l1, l2, q = ctx.mpf(31), ctx.mpf(17), ctx.mpf("0.01")
         approx = ctx.mpf(0)
         for (t1, t2, d), c in coeffs.items():

@@ -140,13 +140,14 @@ def test_eval_large_coupling_is_accurate(runner, tmp_path):
     result = invoke(runner, tmp_path, "eval", "--op", "G", "--args", "0.3;25")
     assert result.exit_code == 0
     data = json.loads(result.output)
-    assert data["value"]["re"].startswith("1.4603821613629082078")
+    assert data["value"]["re"].startswith("1.4603821613629082775")
     assert data["precision_bits"] == 128 and data["working_bits"] > 128 + data["bits_lost"]
     assert data["bits_lost"] > 100
     mp = mpmath.mp.clone()
     mp.prec = 400
     h = mp.mpf(1) / 2
-    true = mp.hyp1f2(h, h - mp.mpf(0.3), h + mp.mpf(0.3), -4 * mp.mpf(25) ** 2)
+    z = mp.mpf("0.3")  # the argument as typed, not its binary64 neighbour
+    true = mp.hyp1f2(h, h - z, h + z, -4 * mp.mpf(25) ** 2)
     assert abs(mp.mpf(data["value"]["re"]) - true) <= mp.mpf(data["err_bound"])
     again = invoke(runner, tmp_path, "eval", "--op", "G", "--args", "0.3;25")
     assert again.output == result.output
@@ -179,11 +180,12 @@ def test_exact_regime_payloads_are_pinned(runner, tmp_path, args, sha256):
 
 
 def test_eval_kernel_series_at_an_integer_gap(runner, tmp_path):
-    # a - b = 2: the term ratio into n = 2 is 0/0 (a ZeroDivisionError before)
+    # a - b = 2: the term ratio into n = 2 is 0/0 (a ZeroDivisionError before);
+    # the product route gives the same digits at 128 and 256 bits
     result = invoke(runner, tmp_path, "eval", "--op", "D", "--args", "2.25;0.25;1.1",
                     "--route", "series")
     assert result.exit_code == 0
-    assert json.loads(result.output)["value"]["re"].startswith("-0.0625950261024956833531293")
+    assert json.loads(result.output)["value"]["re"].startswith("-0.0625950261024956958499088")
 
 
 @pytest.mark.parametrize("op,args,route", [
@@ -197,3 +199,42 @@ def test_eval_series_pole_exit_code(runner, tmp_path, op, args, route):
                     *(["--route", route] if route else []))
     assert result.exit_code == 2
     assert "pole" in result.output
+
+
+def test_eval_arguments_keep_their_digits(runner, tmp_path):
+    # binary64 rounds 2.0000000000000000001 to 2; the value there differs from
+    # the 18th digit on
+    near, at_two = (
+        json.loads(invoke(runner, tmp_path, "eval", "--op", "D", "--args", f"{a};0;1.1",
+                          "--route", "series").output)
+        for a in ("2.0000000000000000001", "2")
+    )
+    assert near["args"][0]["re"] == "2.0000000000000000001"
+    assert at_two["args"][0] == {"re": "2.0", "im": "0.0"}
+    assert near["value"] != at_two["value"]
+    both = invoke(runner, tmp_path, "eval", "--op", "D", "--args", "2.0000000000000000001;0;1.1",
+                  "--route", "both")
+    assert json.loads(both.output)["value"] == near["value"]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--name", "eps0", "--k", "4"], "k <= 3"),
+    (["--name", "eps0", "--k", "2", "--gmax", "2"], "no eps0 table entry for k=2, g=2"),
+    (["--name", "qinf", "--k", "4"], "k <= 3"),
+])
+def test_regime_outside_the_tables_exit_code(runner, tmp_path, args, message):
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path), "--no-cache", "regime", *args])
+    assert result.exit_code == 2
+    assert message in result.output
+
+
+@pytest.mark.parametrize("args,sha256", [
+    (["resolvent", "--route", "both", "--order", "12"],
+     "3cbc7ccabd3fd4a6c851b46fa52d4ed1495e262f95a5bcc9fed68ea11dec5a91"),
+    (["one-point", "--order", "10", "--route", "oracle"],
+     "0b73913b6761c95703c81262f7bafbb9789a3e2aab93f1ef14c812b230b78c7a"),
+])
+def test_series_payloads_are_pinned(runner, tmp_path, args, sha256):
+    result = invoke(runner, tmp_path, "--no-cache", *args)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == sha256

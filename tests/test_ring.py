@@ -18,7 +18,7 @@ from gwp1.ring import (
     rat_to_str,
 )
 from gwp1.ring.ratfun import diff_factor, lam_eps_factor
-from gwp1.ring.series import RingTagMismatch
+from gwp1.ring.series import RingTagMismatch, inverse_power
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -162,6 +162,23 @@ def test_series_inverse():
     s = MultiSeries(("z",), (4,), {(0,): Fraction(2), (1,): Fraction(1)})
     inv = s.inverse()
     assert (s * inv).terms == {(0,): Fraction(1)}
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 5])
+@pytest.mark.parametrize("a,one,ring", [
+    (Fraction(-3, 2), Fraction(1), "QQ"),
+    (MultiPoly(("x", "e"), {(1, 0): 1, (0, 1): Fraction(1, 2)}), MultiPoly.const(("x", "e"), 1),
+     "QQ[x,e]"),
+])
+def test_inverse_power_inverts_the_power(t, a, one, ring):
+    N = 9
+    linear = MultiSeries(("z",), (N,), {(-1,): one, (0,): -a * one}, floors=(-1,), ring=ring)
+    series = inverse_power("z", t, a, N, one, ring)
+    assert series.floors == (t,) and series.orders == (N,)
+    product = linear**t * series if t else series
+    # exact through z**-(N - t): (z - a)^t drops t orders of the inverse power
+    assert product.orders == (N - t,)
+    assert product.terms == {(0,): one}
 
 
 def test_ratfun_equality_and_reduction():
