@@ -9,11 +9,42 @@ string-coupling variable).  Zero coefficients are never stored.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import add, le
 from typing import Iterable, Mapping
 
 _ZERO = Fraction(0)
+
+
+def _scaled(terms):
+    """``terms`` as integer numerators over the lcm ``d`` of their
+    denominators: ([(exponents, numerator), ...], d)."""
+    # a set, not a generator: unpacking a generator into the arguments kept
+    # about 1.2 MB more memory allocated over a pass of invariant extractions
+    d = lcm(*{c.denominator for c in terms.values()})
+    return [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()], d
+
+
+def _int_product(ta, tb, lim=None):
+    """The product of two term dicts, ``ta`` in the outer loop.  Integer
+    numerators are multiplied and summed per exponent vector, and divided
+    once by the two common denominators.  With ``lim`` (one bound per
+    variable), terms above it are never formed."""
+    a, da = _scaled(ta)
+    b, db = _scaled(tb)
+    acc: dict[tuple, int] = {}
+    for ea, na in a:
+        for eb, nb in b:
+            e = tuple(map(add, ea, eb))
+            if lim is not None and not all(map(le, e, lim)):
+                continue
+            s = acc.get(e, 0) + na * nb
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+    den = da * db
+    return {e: Fraction(n, den) for e, n in acc.items()}
 
 
 class MultiPoly:
@@ -121,20 +152,9 @@ class MultiPoly:
                 return self._wrap({})
             return self._wrap({e: c * other for e, c in self.terms.items()})
         self._compat(other)
-        terms: dict[tuple, Fraction] = {}
         if len(self.terms) < len(other.terms):
-            a, b = self.terms, other.terms
-        else:
-            a, b = other.terms, self.terms
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = terms.get(e, _ZERO) + ca * cb
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
-        return self._wrap(terms)
+            return self._wrap(_int_product(self.terms, other.terms))
+        return self._wrap(_int_product(other.terms, self.terms))
 
     __rmul__ = __mul__
 
@@ -146,18 +166,7 @@ class MultiPoly:
         lim = tuple(c if c is not None else float("inf") for c in caps)
         if len(lim) != len(self.vars):
             raise ValueError("one cap per variable required")
-        terms: dict[tuple, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(map(add, ea, eb))
-                if not all(map(le, e, lim)):
-                    continue
-                s = terms.get(e, _ZERO) + ca * cb
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
-        return self._wrap(terms)
+        return self._wrap(_int_product(self.terms, other.terms, lim))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -193,41 +202,35 @@ class MultiPoly:
             return -1
         return max(e[i] for e in self.terms)
 
-    def coefficient_of(self, name: str, power: int) -> "MultiPoly":
-        """Coefficient of name**power, as a polynomial with the exponent zeroed."""
-        i = self.vars.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == power:
-                e2 = list(e)
-                e2[i] = 0
-                terms[tuple(e2)] = c
-        return self._wrap(terms)
-
     # ----- substitutions --------------------------------------------------
     def subs_shift(self, name: str, delta) -> "MultiPoly":
-        """Substitute name -> name + delta (delta rational), by binomials."""
+        """Substitute name -> name + delta (delta rational) by an integer
+        Taylor shift: with delta = p/q and ``top`` the largest degree in
+        name, c*name^k sends c*C(k, m)*p^(k-m)*q^(top-k+m) to name^m, and
+        the sum is divided once by q^top."""
         delta = Fraction(delta)
         if not delta:
             return self
         i = self.vars.index(name)
-        terms: dict[tuple, Fraction] = {}
-        for e, c in self.terms.items():
+        num, d = _scaled(self.terms)
+        top = max((e[i] for e, _ in num), default=0)
+        pw_p = [delta.numerator**j for j in range(top + 1)]
+        pw_q = [delta.denominator**j for j in range(top + 1)]
+        terms: dict[tuple, int] = {}
+        for e, n in num:
             k = e[i]
             if k < 0:
                 raise ValueError("shift of a Laurent exponent is not supported")
+            head, tail = e[:i], e[i + 1:]
             for m in range(k + 1):
-                e2 = list(e)
-                e2[i] = m
-                coeff = c * comb(k, m) * delta ** (k - m)
-                if coeff:
-                    t = tuple(e2)
-                    s = terms.get(t, _ZERO) + coeff
-                    if s:
-                        terms[t] = s
-                    else:
-                        del terms[t]
-        return self._wrap(terms)
+                t = head + (m,) + tail
+                s = terms.get(t, 0) + n * comb(k, m) * pw_p[k - m] * pw_q[top - k + m]
+                if s:
+                    terms[t] = s
+                else:
+                    del terms[t]
+        den = d * pw_q[top]
+        return self._wrap({e: Fraction(n, den) for e, n in terms.items()})
 
     def subs_poly(self, name: str, value: "MultiPoly") -> "MultiPoly":
         """Substitute a polynomial for a variable.
@@ -261,28 +264,49 @@ class MultiPoly:
     def divide_exact(self, divisor: "MultiPoly", lead_var: str) -> "MultiPoly | None":
         """Exact division by a divisor linear and monic in ``lead_var``.
 
-        Returns the quotient, or None when the division leaves a remainder.
+        Synthetic division: with self = sum_d P_d v^d and divisor v + R, the
+        quotient digits run Q_(d-1) = P_d - R*Q_d from the top degree down,
+        kept as integers over L*r^(top-d), L and r the common denominators
+        of self and R.  Returns the quotient, or None when the division
+        leaves a remainder.
         """
         self._compat(divisor)
         i = self.vars.index(lead_var)
-        if divisor.degree(lead_var) != 1:
+        unit = tuple(int(j == i) for j in range(len(self.vars)))
+        rest = {e: c for e, c in divisor.terms.items() if e[i] == 0}
+        if unit not in divisor.terms or len(rest) + 1 != len(divisor.terms):
             raise ValueError("divisor must have degree 1 in the lead variable")
-        lead = divisor.coefficient_of(lead_var, 1)
-        if lead != lead.one():
+        if divisor.terms[unit] != 1:
             raise ValueError("divisor must be monic in the lead variable")
-        rest = divisor.coefficient_of(lead_var, 0)  # divisor = lead_var + rest
-        quot = MultiPoly.zero(self.vars, self.laurent)
-        rem = self
-        while rem.terms:
-            d = rem.degree(lead_var)
-            if d < 1:
+        rest, r = _scaled(rest)
+        num, d = _scaled(self.terms)
+        digits: dict[int, dict[tuple, int]] = {}
+        for e, n in num:
+            if e[i] < 0:
                 return None
-            top = rem.coefficient_of(lead_var, d)
-            shift = MultiPoly.variable(self.vars, lead_var, self.laurent, power=d - 1)
-            t = top * shift
-            quot = quot + t
-            rem = rem - t * divisor
-        return quot
+            digits.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = n
+        top = max(digits, default=0)
+        if top < 1:
+            return None if digits else self
+        quot = []
+        q: dict[tuple, int] = {}
+        for deg in range(top, -1, -1):
+            scale = r ** (top - deg)
+            nxt = {e: n * scale for e, n in digits.get(deg, {}).items()}
+            for eq, nq in q.items():
+                for er, nr in rest:
+                    e = tuple(map(add, eq, er))
+                    s = nxt.get(e, 0) - nq * nr
+                    if s:
+                        nxt[e] = s
+                    else:
+                        del nxt[e]
+            q = nxt
+            quot.append((deg - 1, d * scale, q))
+        if q:  # the remainder, left at degree 0
+            return None
+        return self._wrap({e[:i] + (k,) + e[i + 1:]: Fraction(n, den)
+                           for k, den, qk in quot[:-1] for e, n in qk.items()})
 
     # ----- evaluation ------------------------------------------------------
     def eval_numeric(self, ctx, assignment: Mapping[str, object]):

@@ -21,6 +21,8 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Mapping
 
+from gwp1.ring.poly import MultiPoly
+
 
 class RingTagMismatch(TypeError):
     pass
@@ -166,8 +168,9 @@ class MultiSeries:
             if n:
                 base = base * base
         if result is None:
-            one = _coeff_one_like(next(iter(self.terms.values()))) if self.terms else Fraction(1)
-            return MultiSeries.const(self.vars, self.orders, one, self.floors, self.ring)
+            one = _ring_one(self.ring, next(iter(self.terms.values()), None))
+            floors = tuple(min(f, 0) for f in self.floors)
+            return MultiSeries.const(self.vars, self.orders, one, floors, self.ring)
         return result
 
     def __eq__(self, other):
@@ -379,7 +382,16 @@ def _coeff_is_zero(c) -> bool:
     return not c
 
 
-def _coeff_one_like(c):
-    if isinstance(c, (int, Fraction)):
+def _ring_one(ring: str, sample=None):
+    """The unit of the coefficient ring: that of ``sample`` when one is
+    given, else read from the tag, QQ or QQ[v,w~] (``~`` marks a Laurent
+    variable)."""
+    if sample is not None:
+        return Fraction(1) if isinstance(sample, (int, Fraction)) else sample.one()
+    if ring == "QQ":
         return Fraction(1)
-    return c.one()
+    if not (ring.startswith("QQ[") and ring.endswith("]")):
+        raise ValueError(f"the tag {ring!r} does not name the unit of its ring")
+    names = ring[3:-1].split(",")
+    laurent = [v[:-1] for v in names if v.endswith("~")]
+    return MultiPoly.const([v.rstrip("~") for v in names], 1, laurent)

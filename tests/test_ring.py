@@ -3,6 +3,7 @@ truncation bookkeeping, serialization round-trips."""
 
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,6 +89,74 @@ def test_truncated_product_is_the_cut_product(p, q, cap_a, cap_b):
     cut = {e: c for e, c in full.items()
            if (cap_a is None or e[0] <= cap_a) and (cap_b is None or e[1] <= cap_b)}
     assert p.mul_truncated(q, (cap_a, cap_b)).terms == cut
+
+
+# Fraction references for the integer kernels of MultiPoly: the schoolbook
+# loops, one Fraction per term pair, that the kernels must agree with.
+VEE = ("v", "w", "eps")
+
+
+def _ref_product(p, q, caps=None):
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if caps is None or all(c is None or x <= c for x, c in zip(e, caps)):
+                out[e] = out.get(e, Fraction(0)) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_shift(p, i, delta):
+    out = {}
+    for e, c in p.terms.items():
+        for m in range(e[i] + 1):
+            t = e[:i] + (m,) + e[i + 1:]
+            out[t] = out.get(t, Fraction(0)) + c * comb(e[i], m) * delta ** (e[i] - m)
+    return {e: c for e, c in out.items() if c}
+
+
+def laurent_poly_strategy():
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(-3, 3))
+    return st.dictionaries(exps, rationals, max_size=6).map(
+        lambda terms: MultiPoly(VEE, terms, laurent=("eps",)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_poly_strategy(), laurent_poly_strategy(),
+       st.sampled_from([None, 0, 2, 4]), st.sampled_from([None, -2, 0, 3]))
+def test_products_match_the_fraction_reference(p, q, cap_v, cap_eps):
+    assert (p * q).terms == _ref_product(p, q)
+    caps = (cap_v, None, cap_eps)
+    assert p.mul_truncated(q, caps).terms == _ref_product(p, q, caps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurent_poly_strategy(),
+       st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2),
+                        Fraction(7, 3)]))
+def test_shift_matches_the_fraction_reference(p, delta):
+    shifted = p.subs_shift("v", delta)
+    assert shifted.terms == _ref_shift(p, 0, delta)
+    assert shifted.subs_shift("v", -delta) == p
+
+
+@settings(max_examples=80, deadline=None)
+@given(laurent_poly_strategy(), st.sampled_from([Fraction(1, 2), Fraction(-3, 2), 0, 5]))
+def test_exact_division_by_a_linear_factor(a, c):
+    v, w, eps = (MultiPoly.variable(VEE, x, ("eps",)) for x in VEE)
+    for divisor in (v + eps * c, v - w):
+        assert (divisor * a).divide_exact(divisor, "v") == a
+        assert (divisor * a + 1).divide_exact(divisor, "v") is None
+    assert MultiPoly.zero(VEE, ("eps",)).divide_exact(v - w, "v").is_zero()
+
+
+def test_zero_power_of_a_series_is_one():
+    assert (inverse_power("z", 1, Fraction(1, 2), 6, Fraction(1), "QQ") ** 0).terms == {
+        (0,): Fraction(1)}
+    empty = MultiSeries.zero(("lam",), (4,), floors=(2,), ring="QQ[x,eps~]")
+    one = MultiPoly.const(("x", "eps"), 1, ("eps",))
+    assert (empty**0).terms == {(0,): one}
+    assert (MultiSeries.zero(("z",), (3,)) ** 0).terms == {(0,): Fraction(1)}
 
 
 def test_rational_serialization():
