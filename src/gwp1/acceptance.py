@@ -143,22 +143,7 @@ def criterion_4():
     for d in (1, 2):
         checks.append((f"H_3,{d}", three.coefficient(d) == asymptotics.q0_table_entry(3, d)))
     # one-point: factored route vs the independent series-composed oracle
-    one = asymptotics.expand_q0(1, 6)
-    N = 14
-    oracle = correlators.one_point_qseries_oracle(6, N)
-    from gwp1.asymptotics import _ratfun_lam_box
-
-    agree = True
-    for d in range(1, 7):
-        box = _ratfun_lam_box(one.coefficient(d), 1, N)
-        for (t,), ep in box.items():
-            if t < 0 or t > N:
-                continue
-            for p, c in ep.items():
-                got = oracle.coefficient_or((t,), None)
-                want = got.terms.get((d, p), Fraction(0)) if got is not None else Fraction(0)
-                if want != c:
-                    agree = False
+    agree = all(asymptotics.onepoint_oracle_match(asymptotics.expand_q0(1, 6)).values())
     checks.append(("H_1,d (d<=6) two routes", agree))
     return all(c[1] for c in checks), "", checks
 

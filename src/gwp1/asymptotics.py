@@ -22,8 +22,9 @@ import mpmath
 
 from gwp1 import analytic
 from gwp1.analytic import PrecisionContext
+from gwp1.correlators import one_point_qseries_oracle
 from gwp1.exprtree import TableEntryError, eval_box_series, eval_numeric, eval_poly, validate_tree
-from gwp1.ring.numbers import coset_reps
+from gwp1.ring.numbers import bernoulli_number, coset_reps, odd_double_factorial
 from gwp1.ring.poly import MultiPoly
 from gwp1.ring.ratfun import FactoredRatFun, diff_factor, lam_eps_factor
 from gwp1.ring.series import MultiSeries, inverse_power
@@ -93,27 +94,19 @@ def _kernel_q_terms(k: int, i: int, j: int, D: int):
     laurent = frozenset({EPS})
     li, lj = f"lam{i}", f"lam{j}"
     out = []
-    # T_0: eps / (lam_i - lam_j), with the canonical factor orientation
-    lo, hi = (i, j) if i < j else (j, i)
-    sign = 1 if i < j else -1
-    eps_num = MultiPoly.variable(vars_, EPS, laurent) * Fraction(sign)
-    out.append(FactoredRatFun(eps_num, Counter([diff_factor(f"lam{lo}", f"lam{hi}")])))
     lam_i = MultiPoly.variable(vars_, li, laurent)
     lam_j = MultiPoly.variable(vars_, lj, laurent)
     eps_p = MultiPoly.variable(vars_, EPS, laurent)
+    # T_0: eps / (lam_i - lam_j), with the canonical factor orientation
+    lo, hi = (i, j) if i < j else (j, i)
+    sign = 1 if i < j else -1
+    out.append(FactoredRatFun(eps_p * sign, Counter([diff_factor(f"lam{lo}", f"lam{hi}")])))
     delta = lam_i - lam_j
     for n in range(1, D + 1):
-        num = MultiPoly.const(vars_, Fraction((-1) ** n, factorial(n)), laurent)
+        num = MultiPoly.variable(vars_, EPS, laurent, power=1 - n)
+        num = num * Fraction((-1) ** n, factorial(n))
         for t in range(0, n - 1):
             num = num * (delta + eps_p * (t - 2 * n + 1))
-        # eps^(1-n)
-        ei = vars_.index(EPS)
-        shifted = {}
-        for e, c in num.terms.items():
-            e2 = list(e)
-            e2[ei] += 1 - n
-            shifted[tuple(e2)] = c
-        num = MultiPoly(vars_, shifted, laurent)
         den = Counter()
         for ell in range(n):
             den[lam_eps_factor(li, Fraction(-(2 * ell + 1), 2))] += 1
@@ -277,53 +270,43 @@ def einf_table_entry(k: int, g: int) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def _ratfun_eps_expand(r: FactoredRatFun, target_vars, order: int) -> MultiSeries:
-    """Expand a (lam.., eps) FactoredRatFun for large eps into a series in
-    1/eps with coefficients FactoredRatFun over (lam.., q) [q unused here].
+def _eps_expand(h: FactoredRatFun, target_vars, d: int, order: int) -> MultiSeries:
+    """q^d h, for a small-q coefficient h over (lam.., eps), expanded for
+    large eps: a series in 1/eps over polynomials in (lam.., q), exact
+    through eps^-order.  Each factor must be of the kind (lam + c eps):
 
-    1/(lam + c eps) = sum_m (-1)^m lam^m / c^(m+1) eps^-(m+1);
-    pairwise-difference factors stay in the coefficient ring.
+        (lam + c eps)^-m = c^-m sum_j C(m+j-1, j) (-lam/c)^j eps^-(m+j).
+
+    Each factor raises every index by at least its multiplicity, so the
+    partial products are kept only through the indices that can still land
+    at or below ``order``.
     """
-    # split the numerator by eps power (index -p: positive powers of eps sit
-    # below the floor line, inverse powers above)
-    ei = r.num.vars.index(EPS)
-    num_terms: dict[int, MultiPoly] = {}
-    for e, c in r.num.terms.items():
-        p = e[ei]
-        e2 = [x for i, x in enumerate(e) if i != ei] + [0]  # append q slot
-        mono = MultiPoly(target_vars, {tuple(e2): c})
-        num_terms.setdefault(p, MultiPoly.zero(target_vars))
-        num_terms[p] = num_terms[p] + mono
-    terms = {(-p,): FactoredRatFun(poly) for p, poly in num_terms.items()}
-    floor = min((-p for p in num_terms), default=0)
-    series = MultiSeries((EPS,), (order,), terms, floors=(min(floor, 0),), ring="RF")
-    for f, mult in r.den.items():
-        for _ in range(mult):
-            if f[0] == "diff":
-                fac = FactoredRatFun(MultiPoly.const(target_vars, 1), Counter([f]))
-                series = series.map_coefficients(lambda x: x * fac, ring="RF")
-            else:
-                # 1/(v + c eps) = (1/c) (eps - (-v/c))^-1
-                _, v, c = f
-                a = FactoredRatFun(MultiPoly.variable(target_vars, v) * (-1 / c))
-                one = FactoredRatFun(MultiPoly.const(target_vars, 1 / c))
-                series = series * inverse_power(EPS, 1, a, order + 2, one, "RF")
+    ring = f"QQ[{','.join(target_vars)}]"
+    ei = h.vars.index(EPS)
+    by_power: dict[int, dict] = {}
+    for e, c in h.num.terms.items():
+        by_power.setdefault(-e[ei], {})[e[:ei] + e[ei + 1:] + (d,)] = c
+    terms = {(p,): MultiPoly(target_vars, t) for p, t in by_power.items()}
+    series = MultiSeries((EPS,), (order - sum(h.den.values()),), terms,
+                         floors=(min(by_power, default=0),), ring=ring)
+    for f, mult in h.den.items():
+        if f[0] != "lin":
+            raise AssertionError(f"large-eps expansion of an unresolved pole {f}")
+        _, v, c = f
+        a = MultiPoly.variable(target_vars, v) * (-1 / c)
+        scale = MultiPoly.const(target_vars, c**-mult)
+        # through the index that keeps the product exact to series order + mult
+        top = series.orders[0] + mult - series.floors[0]
+        series = series * inverse_power(EPS, mult, a, top, scale, ring)
     return series
 
 
 def _q0_in_inverse_eps(k: int, G: int, D: int) -> MultiSeries:
     """sum_{d <= D} q^d H_{k,d}, each small-q coefficient expanded in 1/eps
-    through eps^-2G: a series in 1/eps over FactoredRatFun in (lam.., q)."""
+    through eps^-2G: a series in 1/eps over polynomials in (lam.., q)."""
     target_vars = _lam_vars(k) + ("q",)
-    order = 2 * G
-    total = MultiSeries((EPS,), (order,), {}, floors=(-k - 2,), ring="RF")
-    for d, h in expand_q0(k, D).coefficients:
-        if h.is_zero():
-            continue
-        qfac = FactoredRatFun(MultiPoly.variable(target_vars, "q", power=d))
-        expanded = _ratfun_eps_expand(h, target_vars, order)
-        total = total + expanded.map_coefficients(lambda x: x * qfac, ring="RF")
-    return total
+    parts = [_eps_expand(h, target_vars, d, 2 * G) for d, h in expand_q0(k, D).coefficients]
+    return sum(parts[1:], parts[0])
 
 
 def expand_eps_inf(k: int, G: int) -> RegimeExpansion:
@@ -333,22 +316,16 @@ def expand_eps_inf(k: int, G: int) -> RegimeExpansion:
     if k < 1:
         raise ValueError("k must be >= 1")
     total = _q0_in_inverse_eps(k, G, G)  # q^d terms start at eps^-2d
-    target_vars = _lam_vars(k) + ("q",)
+    zero = MultiPoly.zero(_lam_vars(k) + ("q",))
     coeffs = []
     for g in range(0, G + 1):
-        c = total.coefficient_or((2 * g,), FactoredRatFun.zero(target_vars))
-        c = c.reduce()
-        if not c.is_polynomial():
-            raise AssertionError(f"H_{k},[{g}]: pairwise poles failed to cancel: {c!r}")
-        p = c.to_poly()
+        p = total.coefficient_or((2 * g,), zero)
         _check_poly_grading(p, 2 * g, f"H_{k},[{g}]")
         coeffs.append((g, p))
     # odd inverse powers and positive powers of eps must cancel identically
-    for (idx,), c in total.terms.items():
+    for (idx,) in total.terms:
         if idx < 0 or idx % 2:
-            c = c.reduce()
-            if not c.is_zero():
-                raise AssertionError(f"unexpected eps^{-idx} term in the expansion")
+            raise AssertionError(f"unexpected eps^{-idx} term in the expansion")
     return RegimeExpansion(regime="epsInf", k=k, order=G, coefficients=tuple(coeffs))
 
 
@@ -370,17 +347,16 @@ def q0_einf_consistency(k: int, G: int, D: int | None = None) -> bool:
     if D is None:
         D = G
     einf_data = expand_eps_inf(k, G)
-    target_vars = _lam_vars(k) + ("q",)
     total = _q0_in_inverse_eps(k, G, D)
     for g in range(0, G + 1):
-        lhs = total.coefficient_or((2 * g,), FactoredRatFun.zero(target_vars)).reduce()
         rhs = einf_data.coefficient(g)
+        lhs = total.coefficient_or((2 * g,), MultiPoly.zero(rhs.vars))
         # restrict the target to q-degrees reachable with d <= D
         rhs_cut = MultiPoly(
             rhs.vars,
             {e: c for e, c in rhs.terms.items() if e[rhs.vars.index("q")] <= D},
         )
-        if not (lhs.is_polynomial() and lhs.to_poly() == rhs_cut):
+        if lhs != rhs_cut:
             return False
     return True
 
@@ -406,38 +382,60 @@ def eps0_series_coefficients(k: int, g: int, lam_order: int, d_max: int) -> dict
     }
 
 
-def _ratfun_lam_box(h: FactoredRatFun, k: int, lam_order: int):
-    """Expand a small-q coefficient in 1/lam: {(t_1..t_k): {eps_power: c}}."""
-    ei = h.num.vars.index(EPS)
-    acc: dict[tuple, dict[int, Fraction]] = {}
-    for e, c in h.num.terms.items():
-        key = tuple(-e[i] for i in range(k))
-        acc.setdefault(key, {})
-        acc[key][e[ei]] = acc[key].get(e[ei], Fraction(0)) + c
-    max_neg = max((max(-min(idx), 0) for idx in acc), default=0)
-    for f, mult in h.den.items():
-        if f[0] != "lin":
-            raise AssertionError("lam-expansion expects resolved poles only")
-        _, v, cc = f
-        vi = int(v[3:]) - 1
-        for _ in range(mult):
-            nxt: dict[tuple, dict[int, Fraction]] = {}
-            for idx, ep in acc.items():
-                for m in range(0, lam_order + max_neg + 2):
-                    nidx = list(idx)
-                    nidx[vi] += m + 1
-                    if nidx[vi] > lam_order:
-                        break
-                    factor = (-cc) ** m
-                    tgt = nxt.setdefault(tuple(nidx), {})
-                    for p, c in ep.items():
-                        v2 = tgt.get(p + m, Fraction(0)) + c * factor
-                        if v2:
-                            tgt[p + m] = v2
-                        else:
-                            tgt.pop(p + m, None)
-            acc = {i: e for i, e in nxt.items() if e}
-    return acc
+def q0_in_inverse_lam(data: RegimeExpansion, lam_order: int) -> dict:
+    """The small-q coefficients H_{k,d} of ``data`` (from :func:`expand_q0`)
+    expanded in 1/lam through lam^-lam_order in each variable:
+    {(t_1..t_k, d): {eps power: c}} over t_i >= 0.  Each factor must be of
+    the kind (lam + c eps):
+
+        (lam + c eps)^-1 = sum_m (-c)^m eps^m lam^-(m+1).
+    """
+    k = data.k
+    out = {}
+    for d, h in data.coefficients:
+        ei = h.vars.index(EPS)
+        acc: dict[tuple, dict[int, Fraction]] = {}
+        for e, c in h.num.terms.items():
+            acc.setdefault(tuple(-x for x in e[:k]), {})[e[ei]] = c
+        for f, mult in h.den.items():
+            if f[0] != "lin":
+                raise AssertionError(f"1/lam expansion of an unresolved pole {f}")
+            _, v, cc = f
+            vi = h.vars.index(v)
+            for _ in range(mult):
+                nxt: dict[tuple, dict[int, Fraction]] = {}
+                for idx, ep in acc.items():
+                    for m in range(lam_order - idx[vi]):
+                        factor = (-cc) ** m
+                        tgt = nxt.setdefault(idx[:vi] + (idx[vi] + m + 1,) + idx[vi + 1:], {})
+                        for p, c in ep.items():
+                            v2 = tgt.get(p + m, 0) + c * factor
+                            if v2:
+                                tgt[p + m] = v2
+                            else:
+                                tgt.pop(p + m, None)
+                acc = {i: ep for i, ep in nxt.items() if ep}
+        out.update({idx + (d,): ep for idx, ep in acc.items() if min(idx) >= 0})
+    return out
+
+
+def onepoint_oracle_match(data: RegimeExpansion) -> dict:
+    """Each one-point coefficient H_{1,d}, d >= 1, of ``data`` against the
+    small-q oracle :func:`correlators.one_point_qseries_oracle`, which
+    shares no code with :func:`expand_q0`.  Both sides are expanded in 1/lam
+    through lam^-(2D+2), D the order of ``data``; {str(d): every term of
+    either side is a term of the other}."""
+    lam_order = 2 * data.order + 2
+    oracle: dict[tuple, dict[int, Fraction]] = {}
+    for (t,), poly in one_point_qseries_oracle(data.order, lam_order).terms.items():
+        for (d, p), c in poly.terms.items():
+            oracle.setdefault((t, d), {})[p] = c
+    ours = q0_in_inverse_lam(data, lam_order)
+
+    def part(table, d):
+        return {key: ep for key, ep in table.items() if key[1] == d}
+
+    return {str(d): part(ours, d) == part(oracle, d) for d in range(1, data.order + 1)}
 
 
 def eps0_q0_bridge(k: int, g_max: int, d_max: int, lam_order: int | None = None) -> bool:
@@ -449,23 +447,8 @@ def eps0_q0_bridge(k: int, g_max: int, d_max: int, lam_order: int | None = None)
     reachable with g <= g_max, through q^d_max."""
     if lam_order is None:
         lam_order = 2 * d_max + 2
-    q0_data = expand_q0(k, d_max)
     eps_powers = {2 * g - 2 + 2 * k: g for g in range(0, g_max + 1)}
-    lhs: dict[tuple, dict[int, Fraction]] = {}
-    for d, h in q0_data.coefficients:
-        if h.is_zero():
-            continue
-        for idx, ep in _ratfun_lam_box(h, k, lam_order).items():
-            if any(x < 0 for x in idx):
-                continue
-            key = idx + (d,)
-            tgt = lhs.setdefault(key, {})
-            for p, c in ep.items():
-                v = tgt.get(p, Fraction(0)) + c
-                if v:
-                    tgt[p] = v
-                else:
-                    tgt.pop(p, None)
+    lhs = q0_in_inverse_lam(expand_q0(k, d_max), lam_order)
     rhs: dict[tuple, dict[int, Fraction]] = {}
     for g in range(0, g_max + 1):
         for idx, c in eps0_series_coefficients(k, g, lam_order, d_max).items():
@@ -474,8 +457,6 @@ def eps0_q0_bridge(k: int, g_max: int, d_max: int, lam_order: int | None = None)
         # the tabulated one-point coefficients belong to the Gamma-rescaled
         # kernel; the plain kernel adds the Bernoulli tail of the digamma
         # asymptotic:  (1 - 2^(1-2g)) B_2g / (2g) lam^-2g  at q^0
-        from gwp1.ring.numbers import bernoulli_number
-
         for g in range(1, g_max + 1):
             corr = (1 - Fraction(2) ** (1 - 2 * g)) * bernoulli_number(2 * g) / (2 * g)
             if 2 * g <= lam_order:
@@ -587,13 +568,11 @@ def _onepoint_drift_coeff(d: int, lam, eps, ctx):
     cos-weighted one-point function:
 
         (2d-1)!! prod_{j=-d..d} (lam - eps j) / ( (2d+1) d! 2^(3d+1) )."""
-    dd = 1
-    for t in range(1, d + 1):
-        dd *= 2 * t - 1
     prod = ctx.mpf(1)
     for j in range(-d, d + 1):
         prod *= lam - eps * j
-    return ctx.mpf(dd) * prod / ((2 * d + 1) * factorial(d) * ctx.mpf(2) ** (3 * d + 1))
+    return (ctx.mpf(odd_double_factorial(d)) * prod
+            / ((2 * d + 1) * factorial(d) * ctx.mpf(2) ** (3 * d + 1)))
 
 
 def verify_q_inf(k: int, d_max: int, lams, eps, q_list, tolerance=0.30) -> RegimeReport:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -294,8 +295,17 @@ EVAL_ARITY = {"G": (2, 2), "Gt": (2, 2), "j": (2, 2), "J": (2, 2), "B": (2, 2),
 
 def _parse_complex(ctx, txt: str):
     """One argument as a complex number of the mpmath context ``ctx``, read
-    from its digits at the context's precision."""
-    return ctx.mpc(ctx.convert(txt.replace(" ", "").replace("i", "j")))
+    from its digits at the context's precision.  Each part must be finite
+    and inside binary64 range, where the series guards and walks work."""
+    text = re.sub(r"i(?!nf)", "j", txt.replace(" ", ""))  # the unit, not the i of "inf"
+    try:
+        z = ctx.mpc(ctx.convert(text))
+    except AttributeError:  # mpmath's complex-string parser found no match
+        raise ValueError(f"cannot read {txt!r} as a complex number") from None
+    for part in (z.real, z.imag):
+        if not ctx.isfinite(part) or abs(part) > sys.float_info.max:
+            raise ValueError(f"{txt!r} is not finite or lies beyond binary64 range")
+    return z
 
 
 def _echo(ctx, x) -> str:
@@ -398,23 +408,36 @@ def regime_cmd(ctx, name, k, dmax, gmax):
 
     def compute():
         if name in ("q0", "einf"):
-            # the q0 table starts at d = 1, the einf table at g = 0
-            expand, table_entry, order, first = {
-                "q0": (asymptotics.expand_q0, asymptotics.q0_table_entry, dmax, 1),
-                "einf": (asymptotics.expand_eps_inf, asymptotics.einf_table_entry, gmax, 0),
+            # the q0 table starts at d = 1 and has no k = 1 entries (the
+            # one-point coefficients are checked against their oracle); the
+            # einf table starts at g = 0
+            expand, table_entry, index, order, first = {
+                "q0": (asymptotics.expand_q0, asymptotics.q0_table_entry, "d", dmax, 1),
+                "einf": (asymptotics.expand_eps_inf, asymptotics.einf_table_entry, "g", gmax, 0),
             }[name]
-            data = expand(k, order)
-            payload = data.to_json()
-            matches = {}
-            for i in range(first, order + 1):
-                try:
-                    matches[str(i)] = bool(data.coefficient(i) == table_entry(k, i))
-                except KeyError:
-                    continue
-            payload["table_match"] = matches
-            if matches and not all(matches.values()):
-                click.echo("derived coefficients disagree with the table", err=True)
+            if name == "q0" and k == 1:
+                data = expand(k, order)
+                field, other = "oracle_match", "the one-point oracle"
+                matches = asymptotics.onepoint_oracle_match(data)
+            else:
+                field, other = "table_match", "the table"
+                targets = {}
+                for i in range(first, order + 1):
+                    try:
+                        targets[i] = table_entry(k, i)
+                    except KeyError:
+                        continue
+                data = expand(k, order) if targets else None
+                matches = {str(i): bool(data.coefficient(i) == t) for i, t in targets.items()}
+            if not matches:
+                click.echo(f"nothing to compare: {other} has no {name} entry for k={k} and "
+                           f"{first} <= {index} <= {order}", err=True)
+                sys.exit(EXIT_VALIDATION)
+            if not all(matches.values()):
+                click.echo(f"derived coefficients disagree with {other}", err=True)
                 sys.exit(EXIT_ROUTE_DISAGREEMENT)
+            payload = data.to_json()
+            payload[field] = matches
             payload["pass"] = True
             return _dumps(payload)
         if name == "eps0":

@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from gwp1.ring.mat2 import Mat2
+from gwp1.ring.numbers import odd_double_factorial
 from gwp1.ring.poly import MultiPoly
 from gwp1.ring.series import MultiSeries, inverse_power
 
@@ -293,8 +294,7 @@ def _series_z_poly(template: MultiSeries) -> MultiSeries:
     terms = {tuple(i_neg): one, (0,) * len(template.vars): one * Fraction(-1, 2)}
     floors = list(template.floors)
     floors[zi] = -1
-    big = [max(o, template.orders[k]) for k, o in enumerate(template.orders)]
-    return MultiSeries(template.vars, big, terms, floors, template.ring)
+    return MultiSeries(template.vars, template.orders, terms, floors, template.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +419,6 @@ def cross_check_routes(N: int) -> CrossCheckReport:
 SQ = "sq"  # the inverse variable sqrt(q)
 
 
-def _double_factorial_odd(m: int) -> int:
-    # (2m-1)!! with the empty product 1 at m = 0
-    r = 1
-    for t in range(1, m + 1):
-        r *= 2 * t - 1
-    return r
-
-
 @dataclass(frozen=True)
 class WFormalSeries:
     """Formal solution of the shift-commutation system in powers of
@@ -519,14 +511,14 @@ def formal_W(D: int) -> WFormalSeries:
             prod = _le_const(1)
             for j in range(-m, m + 1):
                 prod = prod * (lam + eps * j)
-            c = Fraction(_double_factorial_odd(m), 2 ** (3 * m + 2) * factorial(m))
+            c = Fraction(odd_double_factorial(m), 2 ** (3 * m + 2) * factorial(m))
             w1_terms[(2 * m + 1,)] = prod * c
         if 2 * m <= D:
             done = False
             prod = _le_const(1)
             for j in range(-(m - 1), m + 1):
                 prod = prod * (lam + eps * j)
-            c = Fraction(_double_factorial_odd(m), 2 ** (3 * m + 1) * factorial(m))
+            c = Fraction(odd_double_factorial(m), 2 ** (3 * m + 1) * factorial(m))
             w2_terms[(2 * m,)] = prod * c
         if done:
             break

@@ -10,7 +10,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, prod
 
 Rational = Fraction
 
@@ -54,6 +54,11 @@ def pochhammer(x, k: int):
     for i in range(1, k):
         result = result * (x + i)
     return result
+
+
+def odd_double_factorial(m: int) -> int:
+    """(2m-1)!! = 1 * 3 * ... * (2m-1); the empty product is 1."""
+    return prod(range(1, 2 * m, 2))
 
 
 # Memoized Bernoulli numbers (second convention, B_1 = -1/2).  The cache is

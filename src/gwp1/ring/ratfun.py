@@ -7,8 +7,10 @@ Denominators are multisets of monic linear factors of two kinds:
 
 The first kind is the only pole shape surviving in the final small-q
 coefficients of the k-point functions; the second occurs in intermediate
-cyclic sums and must cancel, which :meth:`FactoredRatFun.reduce` performs by
-exact division attempts (no general gcd machinery is used or needed).
+cyclic sums and must cancel.  Sums and products keep every factor they are
+given; :meth:`FactoredRatFun.reduce` cancels them by exact division attempts
+(no general gcd machinery is used or needed), and is called once, where a
+finished value is read.
 """
 
 from __future__ import annotations
@@ -33,33 +35,13 @@ def diff_factor(v: str, w: str) -> tuple:
 
 
 def factor_poly(factor: tuple, variables, laurent=()) -> MultiPoly:
-    kind = factor[0]
+    kind, v, w = factor
+    lead = MultiPoly.variable(variables, v, laurent)
     if kind == "lin":
-        _, v, c = factor
-        terms = {}
-        vi = list(variables).index(v)
-        e = [0] * len(variables)
-        e[vi] = 1
-        terms[tuple(e)] = Fraction(1)
-        if c:
-            ei = list(variables).index(EPS)
-            e2 = [0] * len(variables)
-            e2[ei] = 1
-            terms[tuple(e2)] = Fraction(c)
-        return MultiPoly(variables, terms, laurent)
+        return lead + MultiPoly.variable(variables, EPS, laurent) * w
     if kind == "diff":
-        _, v, w = factor
-        vs = list(variables)
-        e1 = [0] * len(vs)
-        e1[vs.index(v)] = 1
-        e2 = [0] * len(vs)
-        e2[vs.index(w)] = 1
-        return MultiPoly(variables, {tuple(e1): Fraction(1), tuple(e2): Fraction(-1)}, laurent)
+        return lead - MultiPoly.variable(variables, w, laurent)
     raise ValueError(f"unknown factor kind {kind!r}")
-
-
-def _lead_var(factor: tuple) -> str:
-    return factor[1]
 
 
 class FactoredRatFun:
@@ -88,12 +70,6 @@ class FactoredRatFun:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def one_like(self):
-        return FactoredRatFun.from_const(self.vars, 1, self.laurent)
-
-    def one(self):
-        return self.one_like()
-
     # ----- arithmetic -----------------------------------------------------
     def _den_poly(self, den: Counter) -> MultiPoly:
         p = MultiPoly.const(self.vars, 1, self.laurent)
@@ -110,7 +86,7 @@ class FactoredRatFun:
         extra_self = other.den - common
         extra_other = self.den - common
         num = self.num * self._den_poly(extra_self) + other.num * self._den_poly(extra_other)
-        return FactoredRatFun(num, self.den | other.den).reduce()
+        return FactoredRatFun(num, self.den | other.den)
 
     __radd__ = __add__
 
@@ -125,9 +101,7 @@ class FactoredRatFun:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return FactoredRatFun(self.num * other, self.den)
-        if isinstance(other, MultiPoly):
-            other = FactoredRatFun(other)
-        return FactoredRatFun(self.num * other.num, self.den + other.den).reduce()
+        return FactoredRatFun(self.num * other.num, self.den + other.den)
 
     __rmul__ = __mul__
 
@@ -145,7 +119,7 @@ class FactoredRatFun:
                     del den[f]
                     continue
                 fp = factor_poly(f, self.vars, self.laurent)
-                q = num.divide_exact(fp, _lead_var(f))
+                q = num.divide_exact(fp, f[1])
                 if q is not None:
                     num = q
                     den[f] -= 1
@@ -168,14 +142,6 @@ class FactoredRatFun:
     __hash__ = None
 
     # ----- queries ----------------------------------------------------------
-    def is_polynomial(self) -> bool:
-        return not self.den
-
-    def to_poly(self) -> MultiPoly:
-        if self.den:
-            raise ValueError(f"denominator factors remain: {sorted(self.den)}")
-        return self.num
-
     def eval_numeric(self, ctx, assignment):
         den = self._den_poly(self.den)
         return self.num.eval_numeric(ctx, assignment) / den.eval_numeric(ctx, assignment)

@@ -1,7 +1,10 @@
 """Asymptotic regimes: exact expansions against their tables, grading laws,
 cross-regime consistency, numeric verifiers and the table-file contracts."""
 
+import dataclasses
+import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +13,7 @@ import pytest
 from gwp1 import asymptotics
 from gwp1.asymptotics import (
     GradingError,
+    RegimeExpansion,
     debye_check,
     einf_table_entry,
     eps0_q0_bridge,
@@ -17,7 +21,9 @@ from gwp1.asymptotics import (
     expand_eps_inf,
     expand_q0,
     load_table,
+    onepoint_oracle_match,
     q0_einf_consistency,
+    q0_in_inverse_lam,
     q0_table_entry,
     verify_eps0,
     verify_q_inf,
@@ -31,6 +37,8 @@ from gwp1.exprtree import (
     grading_scaling_check,
     validate_tree,
 )
+from gwp1.ring.poly import MultiPoly
+from gwp1.ring.ratfun import FactoredRatFun, diff_factor
 
 
 class TestSmallQ:
@@ -81,6 +89,30 @@ class TestCrossRegime:
     @pytest.mark.parametrize("k,gmax,dmax", [(1, 2, 3), (2, 1, 3), (3, 0, 2)])
     def test_small_eps_small_q_bridge(self, k, gmax, dmax):
         assert eps0_q0_bridge(k, gmax, dmax)
+
+    def test_one_point_oracle_match_reads_both_sides(self):
+        # a coefficient missing from the derived side is a mismatch, not a
+        # term with nothing to compare
+        data = expand_q0(1, 3)
+        assert onepoint_oracle_match(data) == {"1": True, "2": True, "3": True}
+        coeffs = dict(data.coefficients)
+        coeffs[2] = coeffs[0]
+        gapped = dataclasses.replace(data, coefficients=tuple(coeffs.items()))
+        assert onepoint_oracle_match(gapped) == {"1": True, "2": False, "3": True}
+
+    def test_expansions_reject_an_unresolved_pole(self):
+        vars_ = ("lam1", "lam2", "eps")
+        pole = FactoredRatFun(MultiPoly.const(vars_, 1), Counter([diff_factor("lam1", "lam2")]))
+        data = RegimeExpansion(regime="q0", k=2, order=1, coefficients=((1, pole),))
+        with pytest.raises(AssertionError):
+            q0_in_inverse_lam(data, 4)
+        with pytest.raises(AssertionError):
+            asymptotics._eps_expand(pole, ("lam1", "lam2", "q"), 1, 2)
+
+    def test_expand_q0_four_point_payload_is_pinned(self):
+        text = json.dumps(expand_q0(4, 2).to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "acacd91fc194658ad35e40dfe3d5f2fdf9facb139cdd789519d09e1ce029acf5")
 
     def test_two_point_genus0_series_values(self):
         table = eps0_series_coefficients(2, 0, 8, 3)

@@ -172,11 +172,26 @@ def test_eval_coincident_points_exit_code(runner, tmp_path):
      "0c9145dbe7db91ab62282749da72c4e68cdbb3d2c0ac4edaea18db31a6b0bb6c"),
     (["--name", "einf", "--k", "3", "--gmax", "3"],
      "fb15731732f1bfff129eeabb9938aba3556200596b363d7d15531e9acb25a85a"),
+    (["--name", "q0", "--k", "3", "--dmax", "2"],
+     "720cba19fcbe4e8e3181277d90945d4ebe8d931f17c607632c5e72185058006d"),
+    (["--name", "einf", "--k", "1", "--gmax", "3"],
+     "655df048405237e6b4f07d2fa6eded7baa5d788d1a47e885cff9bfb687bcf9f6"),
+    (["--name", "einf", "--k", "2", "--gmax", "3"],
+     "c61a0bb711752cc49afc6877697f4fefc52938c28f4753af951322fbe637909f"),
 ])
 def test_exact_regime_payloads_are_pinned(runner, tmp_path, args, sha256):
     result = invoke(runner, tmp_path, "--no-cache", "regime", *args)
     assert result.exit_code == 0
     assert hashlib.sha256(result.output.encode()).hexdigest() == sha256
+
+
+def test_regime_one_point_q0_compares_with_the_oracle(runner, tmp_path):
+    result = invoke(runner, tmp_path, "--no-cache", "regime", "--name", "q0", "--k", "1",
+                    "--dmax", "2")
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert data["pass"] is True and data["oracle_match"] == {"1": True, "2": True}
+    assert "table_match" not in data
 
 
 def test_eval_kernel_series_at_an_integer_gap(runner, tmp_path):
@@ -217,10 +232,31 @@ def test_eval_arguments_keep_their_digits(runner, tmp_path):
     assert json.loads(both.output)["value"] == near["value"]
 
 
+@pytest.mark.parametrize("op,args", [
+    ("G", "inf;1"),
+    ("G", "0.3;-inf"),
+    ("G", "nan;1"),
+    ("G", "1e400;1"),
+    ("G", "0.3+1e400i;1"),
+    ("Hk", "1e400;0.5;1"),
+    ("D", "1e400;0.3;1.1"),
+])
+def test_eval_rejects_arguments_beyond_binary64(runner, tmp_path, op, args):
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path), "eval", "--op", op,
+                                  "--args", args])
+    assert result.exit_code == 2
+    assert "bad arguments" in result.output
+    assert not list(tmp_path.glob("*.json"))
+
+
 @pytest.mark.parametrize("args,message", [
     (["--name", "eps0", "--k", "4"], "k <= 3"),
     (["--name", "eps0", "--k", "2", "--gmax", "2"], "no eps0 table entry for k=2, g=2"),
     (["--name", "qinf", "--k", "4"], "k <= 3"),
+    (["--name", "q0", "--k", "4", "--dmax", "1"], "no q0 entry for k=4"),
+    (["--name", "einf", "--k", "4", "--gmax", "0"], "no einf entry for k=4"),
+    (["--name", "q0", "--k", "2", "--dmax", "0"], "no q0 entry for k=2 and 1 <= d <= 0"),
+    (["--name", "q0", "--k", "1", "--dmax", "0"], "no q0 entry for k=1 and 1 <= d <= 0"),
 ])
 def test_regime_outside_the_tables_exit_code(runner, tmp_path, args, message):
     result = runner.invoke(main, ["--cache-dir", str(tmp_path), "--no-cache", "regime", *args])

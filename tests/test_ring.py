@@ -255,7 +255,7 @@ def test_ratfun_equality_and_reduction():
     num = MultiPoly(vars_, {(1, 0): Fraction(1), (0, 1): Fraction(1, 2)})  # lam + eps/2
     fr = FactoredRatFun(num, Counter([lam_eps_factor("lam1", Fraction(1, 2))]))
     reduced = fr.reduce()
-    assert reduced.is_polynomial() and reduced.to_poly() == MultiPoly.const(vars_, 1)
+    assert not reduced.den and reduced.num == MultiPoly.const(vars_, 1)
     a = FactoredRatFun(MultiPoly.const(vars_, 2),
                        Counter([lam_eps_factor("lam1", Fraction(1, 2))]))
     b = FactoredRatFun(num * 2, Counter([lam_eps_factor("lam1", Fraction(1, 2))] * 2))
@@ -269,7 +269,26 @@ def test_ratfun_diff_factor_cancellation():
     l2 = MultiPoly.variable(vars_, "lam2")
     fr = FactoredRatFun((l1 - l2) * (l1 + l2), Counter([diff_factor("lam1", "lam2")]))
     red = fr.reduce()
-    assert red.is_polynomial() and red.to_poly() == l1 + l2
+    assert not red.den and red.num == l1 + l2
+
+
+def test_ratfun_sums_and_products_keep_their_factors():
+    # (lam - w) / (lam - w) + 1 and (lam + eps/2) * 1/(lam + eps/2) hold
+    # every factor they were given until reduce() cancels it
+    vars_ = ("lam1", "lam2", "eps")
+    l1 = MultiPoly.variable(vars_, "lam1")
+    l2 = MultiPoly.variable(vars_, "lam2")
+    eps = MultiPoly.variable(vars_, "eps")
+    diff = Counter([diff_factor("lam1", "lam2")])
+    half = Counter([lam_eps_factor("lam1", Fraction(1, 2))])
+    total = FactoredRatFun(l1 - l2, diff) + 1
+    product = FactoredRatFun(l1 + eps * Fraction(1, 2)) * FactoredRatFun(MultiPoly.const(vars_, 3), half)
+    for kept, den, value in ((total, diff, 2), (product, half, 3)):
+        assert kept.den == den
+        reduced = kept.reduce()
+        assert not reduced.den and reduced.num == MultiPoly.const(vars_, value)
+        assert kept == reduced and reduced == kept
+    assert not (total == product)
 
 
 def test_mat2_cayley_hamilton():
