@@ -156,7 +156,7 @@ class GradingError(AssertionError):
 def _check_poly_grading(p: MultiPoly, eigenvalue: int, where: str):
     """Every monomial of a (lam.., q) polynomial must satisfy
     sum(lam exponents) + 2 * (q exponent) = eigenvalue."""
-    for e in p.terms:
+    for e in p.num:
         w = 0
         for name, x in zip(p.vars, e):
             w += (2 if name == "q" else 1) * x
@@ -166,7 +166,7 @@ def _check_poly_grading(p: MultiPoly, eigenvalue: int, where: str):
 
 def _check_ratfun_grading(r: FactoredRatFun, eigenvalue: int, where: str):
     nfac = sum(r.den.values())
-    for e in r.num.terms:
+    for e in r.num.num:
         w = sum(x for x in e)  # lam and eps all carry weight 1
         if w - nfac != eigenvalue:
             raise GradingError(
@@ -225,7 +225,7 @@ def expand_q0(k: int, D: int) -> RegimeExpansion:
             c = f[2]
             if c.denominator != 2 or abs(c) >= d:
                 raise AssertionError(f"H_{k},{d}: pole {f} outside the allowed set")
-        for e in h.num.terms:
+        for e in h.num.num:
             if e[h.num.vars.index(EPS)] < 0:
                 raise AssertionError(f"H_{k},{d}: Laurent eps left in numerator")
         if d > 0:
@@ -284,9 +284,9 @@ def _eps_expand(h: FactoredRatFun, target_vars, d: int, order: int) -> MultiSeri
     ring = f"QQ[{','.join(target_vars)}]"
     ei = h.vars.index(EPS)
     by_power: dict[int, dict] = {}
-    for e, c in h.num.terms.items():
-        by_power.setdefault(-e[ei], {})[e[:ei] + e[ei + 1:] + (d,)] = c
-    terms = {(p,): MultiPoly(target_vars, t) for p, t in by_power.items()}
+    for e, n in h.num.num.items():
+        by_power.setdefault(-e[ei], {})[e[:ei] + e[ei + 1:] + (d,)] = n
+    terms = {(p,): MultiPoly.from_ints(target_vars, t, h.num.den) for p, t in by_power.items()}
     series = MultiSeries((EPS,), (order - sum(h.den.values()),), terms,
                          floors=(min(by_power, default=0),), ring=ring)
     for f, mult in h.den.items():
@@ -352,10 +352,9 @@ def q0_einf_consistency(k: int, G: int, D: int | None = None) -> bool:
         rhs = einf_data.coefficient(g)
         lhs = total.coefficient_or((2 * g,), MultiPoly.zero(rhs.vars))
         # restrict the target to q-degrees reachable with d <= D
-        rhs_cut = MultiPoly(
-            rhs.vars,
-            {e: c for e, c in rhs.terms.items() if e[rhs.vars.index("q")] <= D},
-        )
+        qi = rhs.vars.index("q")
+        rhs_cut = MultiPoly.from_ints(rhs.vars, {e: n for e, n in rhs.num.items() if e[qi] <= D},
+                                      rhs.den)
         if lhs != rhs_cut:
             return False
     return True

@@ -419,6 +419,7 @@ def regime_cmd(ctx, name, k, dmax, gmax):
                 data = expand(k, order)
                 field, other = "oracle_match", "the one-point oracle"
                 matches = asymptotics.onepoint_oracle_match(data)
+                uncompared = []
             else:
                 field, other = "table_match", "the table"
                 targets = {}
@@ -429,6 +430,7 @@ def regime_cmd(ctx, name, k, dmax, gmax):
                         continue
                 data = expand(k, order) if targets else None
                 matches = {str(i): bool(data.coefficient(i) == t) for i, t in targets.items()}
+                uncompared = [i for i in range(first, order + 1) if i not in targets]
             if not matches:
                 click.echo(f"nothing to compare: {other} has no {name} entry for k={k} and "
                            f"{first} <= {index} <= {order}", err=True)
@@ -439,6 +441,8 @@ def regime_cmd(ctx, name, k, dmax, gmax):
             payload = data.to_json()
             payload[field] = matches
             payload["pass"] = True
+            if uncompared:  # indices past the table: derived, but checked by no route
+                payload["uncompared"] = uncompared
             return _dumps(payload)
         if name == "eps0":
             F = mpmath.mpf

@@ -71,11 +71,8 @@ def _m_entries_in_lambda(N: int):
 
 def _truncate_x(poly: MultiPoly, cap: int) -> MultiPoly:
     xi = poly.vars.index("x")
-    return MultiPoly(
-        poly.vars,
-        {e: c for e, c in poly.terms.items() if e[xi] <= cap},
-        poly.laurent,
-    )
+    return MultiPoly.from_ints(poly.vars, {e: n for e, n in poly.num.items() if e[xi] <= cap},
+                               poly.den, poly.laurent)
 
 
 @lru_cache(maxsize=16)
@@ -224,6 +221,8 @@ def f_k_series(k: int, orders, region: tuple | None = None) -> FkSeries:
     orders = tuple(int(o) for o in orders)
     if len(orders) != k:
         raise ValueError("one order per variable required")
+    if min(orders) < 0:
+        raise ValueError(f"orders must be >= 0, got {orders}")
     if region is None:
         region = tuple(range(1, k + 1))
     if sorted(region) != list(range(1, k + 1)):
@@ -272,16 +271,16 @@ def _one_point_coefficient(j: int) -> MultiPoly:
     legitimately truncated.
     """
     bj = bernoulli_poly(j)
-    terms = {}
+    total = _xe_zero()
     for i in range(0, j // 2 + 1):
         inner = MultiPoly.zero(bj.vars)
         for ell in range(0, 2 * i + 1):
             shifted = bj.subs_shift("u", Fraction(2 * (i - ell) + 1, 2))
-            inner = inner + shifted * Fraction((-1) ** ell * comb(2 * i, ell))
-        scale = Fraction(1, factorial(i) ** 2 * j)
-        for (n,), c in inner.terms.items():
-            terms[(n, j - 1 - 2 * i - n)] = c * scale
-    return MultiPoly(XE_VARS, terms, XE_LAURENT)
+            inner = inner + shifted * ((-1) ** ell * comb(2 * i, ell))
+        total = total + MultiPoly.from_ints(
+            XE_VARS, {(n, j - 1 - 2 * i - n): c for (n,), c in inner.num.items()},
+            inner.den * factorial(i) ** 2 * j, XE_LAURENT)
+    return total
 
 
 def one_point_series(N: int) -> MultiSeries:
@@ -483,5 +482,5 @@ def extract_invariant(key: CorrelatorKey, region: tuple | None = None) -> Invari
     else:
         targets = [i + 2 for i in key.insertions]
         coeff = f_k_polar_coefficient(key.k, targets, region, x_cap=key.m, eps_cap=eps_target)
-    value = coeff.terms.get((key.m, eps_target), Fraction(0)) * norm
+    value = Fraction(coeff.num.get((key.m, eps_target), 0), coeff.den) * norm
     return InvariantResult(key=key, value=value, d=fd, structural_zero=False)

@@ -351,7 +351,8 @@ def substitute_shifted(series_in_z: MultiSeries, target: str = "lam", N: int | N
     out: dict[tuple, MultiPoly] = {}
     for (r,), coeff in series_in_z.terms.items():
         # coeff is a polynomial in s
-        base = MultiPoly(XE_VARS, {(0, r - d): c for (d,), c in coeff.terms.items()}, XE_LAURENT)
+        base = MultiPoly.from_ints(XE_VARS, {(0, r - d): n for (d,), n in coeff.num.items()},
+                                   coeff.den, XE_LAURENT)
         for idx, p in inverse_power(target, r, x, N, base, RING_XE).terms.items():
             out[idx] = out[idx] + p if idx in out else p
     return MultiSeries((target,), (N,), out, ring=RING_XE)
@@ -394,7 +395,7 @@ def cross_check_routes(N: int) -> CrossCheckReport:
         ("beta", closed.beta, rec.beta),
     ):
         expected = {
-            j: MultiPoly(NE_VARS, {(a, a + b): c for (a, b), c in p.terms.items()})
+            j: MultiPoly.from_ints(NE_VARS, {(a, a + b): n for (a, b), n in p.num.items()}, p.den)
             for (j,), p in substitute_shifted(closed_entry, LAM, N).terms.items()
         }
         for j in range(0, N):

@@ -3,37 +3,26 @@
 Exponent vectors are dense tuples of ints, one per declared variable.
 Exponents are non-negative except for variables declared Laurent at
 construction (needed for coefficients that are Laurent polynomials in the
-string-coupling variable).  Zero coefficients are never stored.
+string-coupling variable).  A polynomial is stored as nonzero integer
+numerators ``num`` over one denominator ``den`` > 0 in lowest terms
+(gcd(den, *num.values()) == 1), so equal polynomials store equal data.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add, le
 from typing import Iterable, Mapping
 
-_ZERO = Fraction(0)
 
-
-def _scaled(terms):
-    """``terms`` as integer numerators over the lcm ``d`` of their
-    denominators: ([(exponents, numerator), ...], d)."""
-    # a set, not a generator: unpacking a generator into the arguments kept
-    # about 1.2 MB more memory allocated over a pass of invariant extractions
-    d = lcm(*{c.denominator for c in terms.values()})
-    return [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()], d
-
-
-def _int_product(ta, tb, lim=None):
-    """The product of two term dicts, ``ta`` in the outer loop.  Integer
-    numerators are multiplied and summed per exponent vector, and divided
-    once by the two common denominators.  With ``lim`` (one bound per
+def _int_product(a, b, lim=None):
+    """The numerators of the product of two numerator dicts, ``a`` in the
+    outer loop, summed per exponent vector.  With ``lim`` (one bound per
     variable), terms above it are never formed."""
-    a, da = _scaled(ta)
-    b, db = _scaled(tb)
     acc: dict[tuple, int] = {}
-    for ea, na in a:
+    b = b.items()
+    for ea, na in a.items():
         for eb, nb in b:
             e = tuple(map(add, ea, eb))
             if lim is not None and not all(map(le, e, lim)):
@@ -43,12 +32,11 @@ def _int_product(ta, tb, lim=None):
                 acc[e] = s
             else:
                 del acc[e]
-    den = da * db
-    return {e: Fraction(n, den) for e, n in acc.items()}
+    return acc
 
 
 class MultiPoly:
-    __slots__ = ("vars", "terms", "laurent")
+    __slots__ = ("vars", "num", "den", "laurent")
 
     def __init__(
         self,
@@ -59,22 +47,21 @@ class MultiPoly:
         self.vars = tuple(variables)
         self.laurent = frozenset(laurent)
         clean: dict[tuple, Fraction] = {}
-        if terms:
-            nv = len(self.vars)
-            for exps, c in terms.items():
-                c = Fraction(c)
-                if not c:
-                    continue
-                exps = tuple(exps)
-                if len(exps) != nv:
-                    raise ValueError("exponent vector length mismatch")
-                for name, e in zip(self.vars, exps):
-                    if e < 0 and name not in self.laurent:
-                        raise ValueError(f"negative exponent for non-Laurent variable {name}")
-                clean[exps] = clean.get(exps, _ZERO) + c
-                if not clean[exps]:
-                    del clean[exps]
-        self.terms = clean
+        for exps, c in (terms or {}).items():
+            c = Fraction(c)
+            if not c:
+                continue
+            exps = tuple(exps)
+            if len(exps) != len(self.vars):
+                raise ValueError("exponent vector length mismatch")
+            for name, e in zip(self.vars, exps):
+                if e < 0 and name not in self.laurent:
+                    raise ValueError(f"negative exponent for non-Laurent variable {name}")
+            clean[exps] = clean.get(exps, 0) + c
+        clean = {e: c for e, c in clean.items() if c}
+        # over the lcm of reduced denominators the form is already canonical
+        self.den = lcm(*{c.denominator for c in clean.values()})
+        self.num = {e: c.numerator * (self.den // c.denominator) for e, c in clean.items()}
 
     # ----- constructors -------------------------------------------------
     @classmethod
@@ -92,7 +79,13 @@ class MultiPoly:
         v = tuple(variables)
         exps = [0] * len(v)
         exps[v.index(name)] = power
-        return cls(v, {tuple(exps): Fraction(1)}, laurent)
+        return cls(v, {tuple(exps): 1}, laurent)
+
+    @classmethod
+    def from_ints(cls, variables, num, den=1, laurent=()):
+        """The polynomial with coefficients num[e]/den, from nonzero integer
+        numerators over ``den`` > 0."""
+        return cls.zero(variables, laurent)._wrap(num, den)
 
     def one(self):
         return MultiPoly.const(self.vars, 1, self.laurent)
@@ -105,37 +98,51 @@ class MultiPoly:
                 f"vs {other.vars}/{other.laurent}"
             )
 
-    def _wrap(self, terms):
+    def _wrap(self, num, den=1):
+        """A polynomial of this ring with coefficients num[e]/den, brought to
+        lowest terms."""
+        g = gcd(den, *num.values()) if den != 1 else 1
+        if g != 1:
+            num = {e: n // g for e, n in num.items()}
+            den //= g
         p = MultiPoly.__new__(MultiPoly)
-        p.vars = self.vars
-        p.laurent = self.laurent
-        p.terms = terms
+        p.vars, p.laurent, p.num, p.den = self.vars, self.laurent, num, den
         return p
 
+    @property
+    def terms(self) -> dict[tuple, Fraction]:
+        """The coefficients as a new dict, exponents -> Fraction."""
+        den = self.den
+        return {e: Fraction(n, den) for e, n in self.num.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     # ----- ring operations ----------------------------------------------
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.vars, other, self.laurent)
         self._compat(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, _ZERO) + c
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        num = {e: n * fa for e, n in self.num.items()} if fa != 1 else dict(self.num)
+        for e, n in other.num.items():
+            s = num.get(e, 0) + (n * fb if fb != 1 else n)
             if s:
-                terms[e] = s
+                num[e] = s
             else:
-                terms.pop(e, None)
-        return self._wrap(terms)
+                num.pop(e, None)
+        return self._wrap(num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap({e: -c for e, c in self.terms.items()})
+        p = self._wrap({e: -n for e, n in self.num.items()})
+        p.den = self.den  # already in lowest terms
+        return p
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -150,11 +157,15 @@ class MultiPoly:
             other = Fraction(other)
             if not other:
                 return self._wrap({})
-            return self._wrap({e: c * other for e, c in self.terms.items()})
+            p = other.numerator
+            return self._wrap({e: n * p for e, n in self.num.items()},
+                              self.den * other.denominator)
         self._compat(other)
-        if len(self.terms) < len(other.terms):
-            return self._wrap(_int_product(self.terms, other.terms))
-        return self._wrap(_int_product(other.terms, self.terms))
+        if len(self.num) < len(other.num):
+            num = _int_product(self.num, other.num)
+        else:
+            num = _int_product(other.num, self.num)
+        return self._wrap(num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -166,13 +177,12 @@ class MultiPoly:
         lim = tuple(c if c is not None else float("inf") for c in caps)
         if len(lim) != len(self.vars):
             raise ValueError("one cap per variable required")
-        return self._wrap(_int_product(self.terms, other.terms, lim))
+        return self._wrap(_int_product(self.num, other.num, lim), self.den * other.den)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = self.one()
-        base = self
+        result, base = self.one(), self
         while n:
             if n & 1:
                 result = result * base
@@ -186,11 +196,8 @@ class MultiPoly:
             other = MultiPoly.const(self.vars, other, self.laurent)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
+        return (self.vars == other.vars and self.laurent == other.laurent
+                and self.den == other.den and self.num == other.num)
 
     __hash__ = None
 
@@ -198,26 +205,25 @@ class MultiPoly:
     def degree(self, name: str) -> int:
         """Largest exponent of ``name``; -1 (or floor) when zero poly."""
         i = self.vars.index(name)
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.num)
 
     # ----- substitutions --------------------------------------------------
     def subs_shift(self, name: str, delta) -> "MultiPoly":
         """Substitute name -> name + delta (delta rational) by an integer
         Taylor shift: with delta = p/q and ``top`` the largest degree in
-        name, c*name^k sends c*C(k, m)*p^(k-m)*q^(top-k+m) to name^m, and
-        the sum is divided once by q^top."""
+        name, n*name^k sends n*C(k, m)*p^(k-m)*q^(top-k+m) to name^m, and
+        the sum is divided once by den*q^top."""
         delta = Fraction(delta)
         if not delta:
             return self
         i = self.vars.index(name)
-        num, d = _scaled(self.terms)
-        top = max((e[i] for e, _ in num), default=0)
+        top = max((e[i] for e in self.num), default=0)
         pw_p = [delta.numerator**j for j in range(top + 1)]
         pw_q = [delta.denominator**j for j in range(top + 1)]
         terms: dict[tuple, int] = {}
-        for e, n in num:
+        for e, n in self.num.items():
             k = e[i]
             if k < 0:
                 raise ValueError("shift of a Laurent exponent is not supported")
@@ -229,8 +235,7 @@ class MultiPoly:
                     terms[t] = s
                 else:
                     del terms[t]
-        den = d * pw_q[top]
-        return self._wrap({e: Fraction(n, den) for e, n in terms.items()})
+        return self._wrap(terms, self.den * pw_q[top])
 
     def subs_poly(self, name: str, value: "MultiPoly") -> "MultiPoly":
         """Substitute a polynomial for a variable.
@@ -248,7 +253,7 @@ class MultiPoly:
 
         tgt = {v: value.vars.index(v) for v in self.vars if v != name}
         result = MultiPoly.zero(value.vars, value.laurent)
-        for e, c in self.terms.items():
+        for e, n in self.num.items():
             k = e[i]
             if k < 0:
                 raise ValueError("polynomial substitution into a Laurent exponent")
@@ -256,9 +261,8 @@ class MultiPoly:
             for j, (v, x) in enumerate(zip(self.vars, e)):
                 if j != i and x:
                     ev[tgt[v]] = x
-            mono = MultiPoly(value.vars, {tuple(ev): c}, value.laurent)
-            result = result + mono * pw(k)
-        return result
+            result = result + value._wrap({tuple(ev): n}) * pw(k)
+        return result * Fraction(1, self.den)
 
     # ----- exact division --------------------------------------------------
     def divide_exact(self, divisor: "MultiPoly", lead_var: str) -> "MultiPoly | None":
@@ -266,22 +270,21 @@ class MultiPoly:
 
         Synthetic division: with self = sum_d P_d v^d and divisor v + R, the
         quotient digits run Q_(d-1) = P_d - R*Q_d from the top degree down,
-        kept as integers over L*r^(top-d), L and r the common denominators
-        of self and R.  Returns the quotient, or None when the division
+        kept as integers over L*r^(top-d), L and r the denominators of self
+        and the divisor.  Returns the quotient, or None when the division
         leaves a remainder.
         """
         self._compat(divisor)
         i = self.vars.index(lead_var)
         unit = tuple(int(j == i) for j in range(len(self.vars)))
-        rest = {e: c for e, c in divisor.terms.items() if e[i] == 0}
-        if unit not in divisor.terms or len(rest) + 1 != len(divisor.terms):
+        r = divisor.den
+        rest = [(e, n) for e, n in divisor.num.items() if e[i] == 0]
+        if unit not in divisor.num or len(rest) + 1 != len(divisor.num):
             raise ValueError("divisor must have degree 1 in the lead variable")
-        if divisor.terms[unit] != 1:
+        if divisor.num[unit] != r:
             raise ValueError("divisor must be monic in the lead variable")
-        rest, r = _scaled(rest)
-        num, d = _scaled(self.terms)
         digits: dict[int, dict[tuple, int]] = {}
-        for e, n in num:
+        for e, n in self.num.items():
             if e[i] < 0:
                 return None
             digits.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = n
@@ -302,11 +305,13 @@ class MultiPoly:
                     else:
                         del nxt[e]
             q = nxt
-            quot.append((deg - 1, d * scale, q))
+            quot.append((deg - 1, q))
         if q:  # the remainder, left at degree 0
             return None
-        return self._wrap({e[:i] + (k,) + e[i + 1:]: Fraction(n, den)
-                           for k, den, qk in quot[:-1] for e, n in qk.items()})
+        # digit k sits over den*r^(top-1-k); bring all to den*r^(top-1)
+        return self._wrap({e[:i] + (k,) + e[i + 1:]: n * r**k
+                           for k, qk in quot[:-1] for e, n in qk.items()},
+                          self.den * r ** (top - 1))
 
     # ----- evaluation ------------------------------------------------------
     def eval_numeric(self, ctx, assignment: Mapping[str, object]):
@@ -325,29 +330,22 @@ class MultiPoly:
     def to_json(self) -> list:
         from gwp1.ring.numbers import rat_to_str
 
-        return [
-            {"exponents": list(e), "coeff": rat_to_str(c)}
-            for e, c in sorted(self.terms.items())
-        ]
+        return [{"exponents": list(e), "coeff": rat_to_str(c)}
+                for e, c in sorted(self.terms.items())]
 
     @classmethod
     def from_json(cls, variables, data, laurent=()):
         from gwp1.ring.numbers import rat_from_str
 
-        return cls(
-            variables,
-            {tuple(t["exponents"]): rat_from_str(t["coeff"]) for t in data},
-            laurent,
-        )
+        return cls(variables, {tuple(t["exponents"]): rat_from_str(t["coeff"]) for t in data},
+                   laurent)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for e, c in sorted(self.terms.items()):
-            mono = "*".join(
-                f"{v}^{k}" if k != 1 else v for v, k in zip(self.vars, e) if k
-            )
+            mono = "*".join(f"{v}^{k}" if k != 1 else v for v, k in zip(self.vars, e) if k)
             if mono:
                 parts.append(f"{c}*{mono}" if c != 1 else mono)
             else:

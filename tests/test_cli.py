@@ -185,6 +185,28 @@ def test_exact_regime_payloads_are_pinned(runner, tmp_path, args, sha256):
     assert hashlib.sha256(result.output.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("args,uncompared", [
+    (["--name", "q0", "--k", "3", "--dmax", "3"], [3]),
+    (["--name", "q0", "--k", "2", "--dmax", "4"], [4]),
+    (["--name", "einf", "--k", "3", "--gmax", "4"], [4]),
+    (["--name", "q0", "--k", "2", "--dmax", "3"], None),
+])
+def test_regime_names_the_indices_it_did_not_compare(runner, tmp_path, args, uncompared):
+    result = invoke(runner, tmp_path, "--no-cache", "regime", *args)
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert data["pass"] is True and data.get("uncompared") == uncompared
+    assert not {str(i) for i in uncompared or ()} & set(data["table_match"])
+
+
+def test_correlator_negative_order_exit_code(runner, tmp_path):
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path), "correlator", "--k", "2",
+                                  "--orders", "-1,2"])
+    assert result.exit_code == 2
+    assert "orders must be >= 0" in result.output
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_regime_one_point_q0_compares_with_the_oracle(runner, tmp_path):
     result = invoke(runner, tmp_path, "--no-cache", "regime", "--name", "q0", "--k", "1",
                     "--dmax", "2")

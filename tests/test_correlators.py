@@ -70,6 +70,10 @@ class TestFkSeries:
         with pytest.raises(ValueError):
             f_k_series(1, (2,))
 
+    def test_orders_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="orders must be >= 0"):
+            f_k_series(2, (-1, 2))
+
     def test_two_point_leading_value(self):
         fk = f_k_series(2, (2, 2))
         assert fk.coefficient((2, 2)) == xe({(0, 0): 1})

@@ -3,7 +3,7 @@ truncation bookkeeping, serialization round-trips."""
 
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +148,52 @@ def test_exact_division_by_a_linear_factor(a, c):
         assert (divisor * a).divide_exact(divisor, "v") == a
         assert (divisor * a + 1).divide_exact(divisor, "v") is None
     assert MultiPoly.zero(VEE, ("eps",)).divide_exact(v - w, "v").is_zero()
+
+
+def _assert_canonical(p):
+    assert p.den > 0
+    assert gcd(p.den, *p.num.values()) == 1
+    assert all(p.num.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_poly_strategy(), laurent_poly_strategy(), rationals, st.integers(0, 3),
+       st.sampled_from([Fraction(1, 2), Fraction(-3, 2), Fraction(7, 3), Fraction(4)]))
+def test_every_operation_returns_the_canonical_form(p, q, c, n, delta):
+    v, eps = MultiPoly.variable(VEE, "v", ("eps",)), MultiPoly.variable(VEE, "eps", ("eps",))
+    divisor = v + eps * delta
+    for r in (p, p + q, p - q, p + p, -p, p * q, p * c, c * p, p * 2, (p + p) * Fraction(1, 2),
+              p.mul_truncated(q, (2, None, 0)), p**n, p.subs_shift("v", delta),
+              (divisor * p).divide_exact(divisor, "v")):
+        _assert_canonical(r)
+    # equal values store equal data, whatever route built them
+    assert (p + p) * Fraction(1, 2) == p and (p * 2 - p).to_json() == p.to_json()
+    assert p - p == MultiPoly.zero(VEE, ("eps",)) and (p - p).den == 1
+
+
+def test_equal_values_built_by_different_routes_are_identical():
+    half = MultiPoly(("a",), {(1,): Fraction(2, 4)})
+    a = MultiPoly.variable(("a",), "a")
+    for other in (a * Fraction(1, 6) + a * Fraction(1, 3), a * Fraction(3, 6),
+                  (a * 2 + 1) * Fraction(1, 4) - Fraction(1, 4)):
+        assert other == half and other.to_json() == half.to_json()
+        assert (other.num, other.den) == ({(1,): 1}, 2)
+
+
+def test_terms_is_a_fresh_view():
+    p = MultiPoly(("a",), {(1,): Fraction(3, 4)})
+    view = p.terms
+    view[(1,)] = Fraction(5)
+    view[(2,)] = Fraction(1)
+    assert p.terms == {(1,): Fraction(3, 4)} and (p.num, p.den) == ({(1,): 3}, 4)
+
+
+def test_equality_compares_the_laurent_set():
+    plain = MultiPoly(("x", "eps"), {(1, 0): 1})
+    laurent = MultiPoly(("x", "eps"), {(1, 0): 1}, laurent=("eps",))
+    assert plain != laurent and not (plain == laurent)
+    with pytest.raises(ValueError, match="variable sets differ"):
+        plain + laurent
 
 
 def test_zero_power_of_a_series_is_one():
