@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, inf, lcm
 
 from gwp1.resolvent import (
     RING_XE,
@@ -31,16 +31,12 @@ from gwp1.resolvent import (
     substitute_shifted,
 )
 from gwp1.ring.numbers import bernoulli_number, bernoulli_poly, coset_reps
-from gwp1.ring.poly import MultiPoly
+from gwp1.ring.poly import MultiPoly, _int_add_into, _int_product
 from gwp1.ring.series import MultiSeries, inverse_power
 
 
 def _xe_zero() -> MultiPoly:
     return MultiPoly.zero(XE_VARS, XE_LAURENT)
-
-
-def _xe_const(v) -> MultiPoly:
-    return MultiPoly.const(XE_VARS, v, XE_LAURENT)
 
 
 def _xe_mono(xp: int, ep: int, c=Fraction(1)) -> MultiPoly:
@@ -49,10 +45,11 @@ def _xe_mono(xp: int, ep: int, c=Fraction(1)) -> MultiPoly:
 
 @lru_cache(maxsize=8)
 def _m_entries_in_lambda(N: int):
-    """Entries of the substituted resolvent as sparse index -> poly maps.
+    """Entries of the substituted resolvent as sparse integer maps.
 
-    Returns ({(row, col): {j: MultiPoly}}, N).  Entry (0,0) carries the
-    identity contribution at index 0.
+    Returns ({(row, col): {j: {(x, eps): int}}}, D, N): the numerators of the
+    lam**-j coefficients over one denominator D common to all four entries.
+    Entry (0,0) carries the identity contribution at index 0.
     """
     R = closed_form_M(N)
     one = MultiSeries.const(("z",), (N,), MultiPoly.const(("s",), 1), ring="QQ[s]")
@@ -62,34 +59,33 @@ def _m_entries_in_lambda(N: int):
         (1, 0): R.gamma,
         (1, 1): -R.alpha,
     }
+    polys = {key: substitute_shifted(series, "lam", N).terms for key, series in entries.items()}
+    den = lcm(*(p.den for mp in polys.values() for p in mp.values()))
+    # drop each polynomial as its integer copy is made: one form held at a time
     out = {}
-    for key, series in entries.items():
-        sub = substitute_shifted(series, "lam", N)
-        out[key] = {idx[0]: poly for idx, poly in sub.terms.items()}
-    return out, N
-
-
-def _truncate_x(poly: MultiPoly, cap: int) -> MultiPoly:
-    xi = poly.vars.index("x")
-    return MultiPoly.from_ints(poly.vars, {e: n for e, n in poly.num.items() if e[xi] <= cap},
-                               poly.den, poly.laurent)
+    for key, mp in polys.items():
+        out[key] = ints = {}
+        while mp:
+            (j,), p = mp.popitem()
+            ints[j] = {e: n * (den // p.den) for e, n in p.num.items()}
+    return out, den, N
 
 
 @lru_cache(maxsize=16)
 def _m_entries_x_capped(N: int, x_cap: int):
     """Entry maps with terms above a given x-degree dropped (extraction of a
-    single x power never needs them).  Indices with no surviving terms are
-    removed so the enumeration prunes on them."""
-    full, avail = _m_entries_in_lambda(N)
+    single x power never needs them), over the same denominator.  Indices
+    with no surviving terms are removed so the enumeration prunes on them."""
+    full, den, avail = _m_entries_in_lambda(N)
     out = {}
     for key, mp in full.items():
         capped = {}
-        for j, poly in mp.items():
-            p = _truncate_x(poly, x_cap)
-            if not p.is_zero():
-                capped[j] = p
+        for j, num in mp.items():
+            cut = {e: n for e, n in num.items() if e[0] <= x_cap}
+            if cut:
+                capped[j] = cut
         out[key] = capped
-    return out, avail
+    return out, den, avail
 
 
 @dataclass(frozen=True)
@@ -123,7 +119,9 @@ def _fk_coefficient(
     variable, plus m at the smaller), so the product is contracted as a
     transfer matrix over states (m of the edge just crossed, row entering the
     next factor).  Each pass fixes the state of the last edge, pushes a sparse
-    {state: MultiPoly} map through the k positions and closes on that state.
+    {state: numerators} map through the k positions and closes on that state.
+    The entries share one denominator D, so every path sits over D**k: paths
+    merge as integer sums and one division by D**k ends the extraction.
 
     Matrix indices around any cycle sum to (sum targets) - k exactly, which
     bounds the contraction and guarantees the conservative resolvent order
@@ -132,9 +130,9 @@ def _fk_coefficient(
     non-negative, so this is sound when only terms within the caps are read.
     """
     if x_cap is None:
-        entries, avail = _m_entries_in_lambda(resolvent_order)
+        entries, den, avail = _m_entries_in_lambda(resolvent_order)
     else:
-        entries, avail = _m_entries_x_capped(resolvent_order, x_cap)
+        entries, den, avail = _m_entries_x_capped(resolvent_order, x_cap)
     T = sum(targets.values())
     j_max = T - k
     if j_max > avail:
@@ -142,9 +140,9 @@ def _fk_coefficient(
             f"need resolvent order {j_max}, computed only {avail}"
         )
     caps = (x_cap, eps_cap)
+    lim = None if caps == (None, None) else tuple(inf if c is None else c for c in caps)
     rank = {v: i for i, v in enumerate(region)}
-    total = _xe_zero()
-    one_poly = _xe_const(1)
+    total: dict[tuple, int] = {}
     # geometric powers chain at most once through each rank level, so no
     # feasible edge power exceeds the total budget plus slack
     m_cap = T + k + 2
@@ -167,38 +165,43 @@ def _fk_coefficient(
                 sign = -sign
             his.append(hi)
         steps = [(targets[v], his[pos - 1] == v, his[pos] == v) for pos, v in enumerate(sigma)]
-        trace = _xe_zero()
         for m_end, row_end in product(range(0, m_cap + 1), (0, 1)):
-            states = {(m_end, row_end): one_poly}
+            # None stands for the empty product before the first position
+            states: dict[tuple, dict | None] = {(m_end, row_end): None}
             for pos, (t, prev_hi, here_hi) in enumerate(steps):
-                nxt: dict[tuple, MultiPoly] = {}
-                for (m_prev, row), poly in states.items():
+                # the last position closes the cycle on the starting state
+                last = pos == k - 1
+                m_lo, m_hi, cols = (m_end, m_end, (row_end,)) if last else (0, m_cap, (0, 1))
+                nxt: dict[tuple, dict] = {}
+                for (m_prev, row), acc in states.items():
                     base = t - m_prev - 1 if prev_hi else t + m_prev
-                    if pos == k - 1:  # close the cycle on the starting state
-                        moves = [(base - m_end - 1 if here_hi else base + m_end, row_end)]
-                    else:
-                        moves = [(j, col) for col in (0, 1) for j in entries[(row, col)]]
-                    for j, col in moves:
-                        m = base - 1 - j if here_hi else j - base
-                        c = entries[(row, col)].get(j)
-                        if c is None or j > j_max or not 0 <= m <= m_cap:
-                            continue
-                        p = poly.mul_truncated(c, caps)
-                        if p:
-                            nxt[(m, col)] = nxt[(m, col)] + p if (m, col) in nxt else p
+                    # the entry index is j = base - 1 - m (or base + m); only
+                    # the m with 0 <= j <= j_max are visited
+                    m_min, m_max = ((base - 1 - j_max, base - 1) if here_hi
+                                    else (-base, j_max - base))
+                    ms = range(max(m_min, m_lo), min(m_max, m_hi) + 1)
+                    for col in cols:
+                        row_entries = entries[(row, col)]
+                        for m in ms:
+                            c = row_entries.get(base - 1 - m if here_hi else base + m)
+                            if c is None:
+                                continue
+                            # the first position shares the entry: no sum lands on it
+                            p = c if acc is None else _int_product(acc, c, lim)
+                            if p and (old := nxt.setdefault((m, col), p)) is not p:
+                                _int_add_into(old, p)
                 states = nxt
             if states:
-                trace = trace + states[(m_end, row_end)]
-        total = total + trace * Fraction(sign)
+                _int_add_into(total, states[(m_end, row_end)], -sign)
 
-    result = -total
+    dk = den**k
     if k == 2:
         # delta-term 1/(lam_1 - lam_2)^2 expanded in the declared region:
         # sum_m (m+1) hi^-(m+2) lo^m; touches only polar targets
         hi, lo = region[0], region[1]
         if targets[lo] <= 0 and targets[hi] == -targets[lo] + 2:
-            result = result - _xe_const(-targets[lo] + 1)
-    return result
+            _int_add_into(total, {(0, 0): dk}, targets[lo] - 1)
+    return MultiPoly.from_ints(XE_VARS, total, dk, XE_LAURENT)
 
 
 def resolvent_order_policy(k: int, orders) -> int:
@@ -265,21 +268,22 @@ def _one_point_coefficient(j: int) -> MultiPoly:
         eps^j/j sum_{i=0}^{[j/2]} eps^(-1-2i)/i!^2
             sum_{l=0}^{2i} (-1)^l C(2i, l) B_j(x/eps + i - l + 1/2)
 
-    Each B_j(u + c) comes from a shift of B_j in u, and u**n then maps to
-    x**n eps**-n.  The inner sum is a (2i)-th backward difference of a
-    degree-j polynomial, so it vanishes for 2i > j and the i-sum is
-    legitimately truncated.
+    with u**n mapping to x**n eps**-n.  The inner sum is a (2i)-th backward
+    difference of a degree-j polynomial, so it vanishes for 2i > j and the
+    i-sum is legitimately truncated.  For i >= 1, B_j(u + 1) - B_j(u) =
+    j u^(j-1) makes it j sum_{l<2i} (-1)^l C(2i-1, l) (u + i - l - 1/2)^(j-1),
+    summed as integers over 2^(j-1); only the i = 0 term shifts B_j.
     """
-    bj = bernoulli_poly(j)
-    total = _xe_zero()
-    for i in range(0, j // 2 + 1):
-        inner = MultiPoly.zero(bj.vars)
-        for ell in range(0, 2 * i + 1):
-            shifted = bj.subs_shift("u", Fraction(2 * (i - ell) + 1, 2))
-            inner = inner + shifted * ((-1) ** ell * comb(2 * i, ell))
-        total = total + MultiPoly.from_ints(
-            XE_VARS, {(n, j - 1 - 2 * i - n): c for (n,), c in inner.num.items()},
-            inner.den * factorial(i) ** 2 * j, XE_LAURENT)
+    half = bernoulli_poly(j).subs_shift("u", Fraction(1, 2))
+    total = MultiPoly.from_ints(XE_VARS, {(n, j - 1 - n): c for (n,), c in half.num.items()},
+                                half.den * j, XE_LAURENT)
+    for i in range(1, j // 2 + 1):
+        # (u + c/2)^(j-1) has the u^n numerator C(j-1, n) 2^n c^(j-1-n) over 2^(j-1)
+        terms = [((-1) ** ell * comb(2 * i - 1, ell), 2 * (i - ell) - 1) for ell in range(2 * i)]
+        num = {(n, j - 1 - 2 * i - n): comb(j - 1, n) * 2**n * s for n in range(j)
+               if (s := sum(w * c ** (j - 1 - n) for w, c in terms))}
+        total = total + MultiPoly.from_ints(XE_VARS, num, 2 ** (j - 1) * factorial(i) ** 2,
+                                            XE_LAURENT)
     return total
 
 
@@ -380,7 +384,7 @@ def one_point_series_oracle(N: int) -> MultiSeries:
     # H1 small-q part at q = 1, argument lam - x
     for d in range(1, N // 2 + 1):
         term = MultiSeries.const(
-            ("lam",), (N,), _xe_const(Fraction(factorial(2 * d - 1), factorial(d) ** 2)),
+            ("lam",), (N,), _xe_mono(0, 0, Fraction(factorial(2 * d - 1), factorial(d) ** 2)),
             ring=RING_XE,
         )
         for jj in range(1, d + 1):

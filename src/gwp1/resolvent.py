@@ -299,7 +299,7 @@ def _series_z_poly(template: MultiSeries) -> MultiSeries:
 
 # ---------------------------------------------------------------------------
 # order-by-order generator from the scalar difference equation (redundant
-# third route, used in tests only)
+# third route, run by tests and by the series_routes workload of bench/)
 # ---------------------------------------------------------------------------
 
 
@@ -309,20 +309,21 @@ def alpha_from_difference_equation(N: int) -> MultiSeries:
     The z**-j coefficient of the residual equals j * A_{j-1} plus terms in
     lower coefficients, so each step determines one new coefficient.  This is
     an independent generator of alpha (given only unit leading behaviour) and
-    is compared with the closed form in tests.
+    is compared with the closed form in tests.  The residual is affine in
+    alpha, so each new A_j adds residual(A_j z**-j) - residual(0) to it.
     """
     known: dict[tuple, MultiPoly] = {}
     zero = MultiPoly.zero(S_VARS)
+    # declared order N+3 so the residual metadata covers index N; the value
+    # at index j only involves already-determined coefficients
+    const = scalar_difference_residual(MultiSeries((Z,), (N + 3,), {}, ring=RING_S))
+    resid = const
     for j in range(1, N + 1):
-        # declared order N+3 so the residual metadata covers index j; the
-        # value at index j only involves already-determined coefficients
-        partial = MultiSeries((Z,), (N + 3,), known, ring=RING_S)
-        resid = scalar_difference_residual(partial)
-        fj = resid.coefficient_or((j,), zero)
-        aj = fj * Fraction(-1, j)
+        aj = resid.coefficient_or((j,), zero) * Fraction(-1, j)
         if not aj.is_zero():
-            known = dict(known)
             known[(j,)] = aj
+            step = MultiSeries((Z,), (N + 3,), {(j,): aj}, ring=RING_S)
+            resid = resid + (scalar_difference_residual(step) - const)
     return MultiSeries((Z,), (N,), known, ring=RING_S)
 
 

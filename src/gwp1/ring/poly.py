@@ -35,6 +35,16 @@ def _int_product(a, b, lim=None):
     return acc
 
 
+def _int_add_into(acc, terms, scale=1):
+    """acc += scale * terms on numerator dicts, in place; zero sums are dropped."""
+    for e, n in terms.items():
+        s = acc.get(e, 0) + (n * scale if scale != 1 else n)
+        if s:
+            acc[e] = s
+        else:
+            del acc[e]
+
+
 class MultiPoly:
     __slots__ = ("vars", "num", "den", "laurent")
 
@@ -129,12 +139,7 @@ class MultiPoly:
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
         num = {e: n * fa for e, n in self.num.items()} if fa != 1 else dict(self.num)
-        for e, n in other.num.items():
-            s = num.get(e, 0) + (n * fb if fb != 1 else n)
-            if s:
-                num[e] = s
-            else:
-                num.pop(e, None)
+        _int_add_into(num, other.num, fb)
         return self._wrap(num, den)
 
     __radd__ = __add__
@@ -168,16 +173,6 @@ class MultiPoly:
         return self._wrap(num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def mul_truncated(self, other: "MultiPoly", caps) -> "MultiPoly":
-        """The product with every term above ``caps`` dropped, without forming
-        those terms.  ``caps`` holds one maximum exponent per variable, or
-        None where that variable is not capped."""
-        self._compat(other)
-        lim = tuple(c if c is not None else float("inf") for c in caps)
-        if len(lim) != len(self.vars):
-            raise ValueError("one cap per variable required")
-        return self._wrap(_int_product(self.num, other.num, lim), self.den * other.den)
 
     def __pow__(self, n: int):
         if n < 0:

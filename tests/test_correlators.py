@@ -4,7 +4,7 @@ routes and the degree bookkeeping."""
 
 import json
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
@@ -237,6 +237,27 @@ class TestExtraction:
         a = extract_invariant(key, region=(1, 2))
         b = extract_invariant(key, region=(2, 1))
         assert a.value == b.value
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_string_equation(self, m):
+        # <tau_0(1) prod_i tau_{a_i}(w)>_g = sum_j <... tau_{a_j - 1}(w) ...>_g
+        # whenever the right side is stable (d >= 1 or 2g - 3 + k + m > 0);
+        # the left side reads x**m (x_cap > 0), the right side x**(m - 1)
+        checked = 0
+        for k in (1, 2, 3):
+            for ins in combinations_with_replacement(range(7, -1, -1), k):
+                for g in range(4):
+                    key = CorrelatorKey(k=k, insertions=ins, g=g, m=m)
+                    if sum(ins) > 7 or key.is_structural_zero():
+                        continue
+                    if key.forced_degree() == 0 and 2 * g - 3 + k + m <= 0:
+                        continue
+                    lowered = [ins[:j] + (a - 1,) + ins[j + 1:] for j, a in enumerate(ins) if a]
+                    rhs = sum(extract_invariant(CorrelatorKey(k=k, insertions=low, g=g, m=m - 1))
+                              .value for low in lowered)
+                    assert extract_invariant(key).value == rhs, key
+                    checked += 1
+        assert checked > 80
 
     def test_json_contract(self):
         r = extract_invariant(CorrelatorKey(k=1, insertions=(0,), g=0))
