@@ -707,7 +707,7 @@ def h_1(pc: PrecisionContext, z, s):
     return _rounded(pc, total, err)
 
 
-def h_1_star(pc: PrecisionContext, z, s, dnu_step=None):
+def h_1_star(pc: PrecisionContext, z, s):
     """Gamma-rescaled one-point kernel by the Bessel order-derivative form:
 
         (pi s / cos(pi z)) [ J_(-1/2-z)(2s) d/dz J_(-1/2+z)(2s)
@@ -722,7 +722,7 @@ def h_1_star(pc: PrecisionContext, z, s, dnu_step=None):
     ctx = inner.ctx
     z = inner.mpc(z)
     s = inner.mpc(s)
-    h = ctx.mpf(2) ** (-(inner.bits // 3)) if dnu_step is None else ctx.mpf(dnu_step)
+    h = ctx.mpf(2) ** (-(inner.bits // 3))
     half = ctx.mpf(1) / 2
     y = 2 * s
 
@@ -785,7 +785,7 @@ def asymptotic_matching_residuals(pc: PrecisionContext, z, s=1, N: int = 10):
     return residuals, bounds
 
 
-def kernel_large_order_coefficients(pc: PrecisionContext, s, P: int, n_max: int = 40):
+def kernel_large_order_coefficients(pc: PrecisionContext, s, P: int):
     """Coefficients c[p][q] of the large-argument expansion of the pairing
     kernel minus its leading pole:
 
@@ -796,7 +796,9 @@ def kernel_large_order_coefficients(pc: PrecisionContext, s, P: int, n_max: int 
                      (i-1/2)^p (j-1/2)^q / ((i-1)!(j-1)!(n-i)!(n-j)!)
 
     (double partial-fraction development of the kernel series; terms with
-    i + j in [n+2, 2n] vanish because the Pochhammer factor does).
+    i + j in [n+2, 2n] vanish because the Pochhammer factor does).  The
+    n-sum stops once s^(2n)/n! falls below the context tolerance, or at
+    n = 40.
     """
     from math import factorial
 
@@ -804,7 +806,7 @@ def kernel_large_order_coefficients(pc: PrecisionContext, s, P: int, n_max: int 
     s = pc.mpc(s)
     out = [[ctx.mpc(0) for _ in range(P + 1)] for _ in range(P + 1)]
     threshold = pc.tol()
-    for n in range(1, n_max + 1):
+    for n in range(1, 41):
         s2n = s ** (2 * n)
         pref = -s2n / factorial(n)
         if abs(pref) < threshold:

@@ -24,7 +24,7 @@ from gwp1 import analytic
 from gwp1.analytic import PrecisionContext
 from gwp1.correlators import one_point_qseries_oracle
 from gwp1.exprtree import TableEntryError, eval_box_series, eval_numeric, eval_poly, validate_tree
-from gwp1.ring.numbers import bernoulli_number, coset_reps, odd_double_factorial
+from gwp1.ring.numbers import bernoulli_tail, coset_reps, odd_double_factorial
 from gwp1.ring.poly import MultiPoly
 from gwp1.ring.ratfun import FactoredRatFun, diff_factor, lam_eps_factor
 from gwp1.ring.series import MultiSeries, inverse_power
@@ -334,30 +334,19 @@ def expand_eps_inf(k: int, G: int) -> RegimeExpansion:
 # ---------------------------------------------------------------------------
 
 
-def q0_einf_consistency(k: int, G: int, D: int | None = None) -> bool:
-    """The small-q data re-expanded for large eps must reproduce the exact
-    large-eps coefficients: coefficient-wise equality of polynomials in
-    (lam.., q) through q^D, for every g <= G.
+def q0_einf_consistency(k: int, G: int) -> bool:
+    """The small-q data through q^G re-expanded for large eps must reproduce
+    the exact large-eps coefficients: coefficient-wise equality of
+    polynomials in (lam.., q) for every g <= G.
 
-    :func:`expand_eps_inf` is derived from the same re-expansion, so with
-    D = G both sides are one sum and the check cannot fail.  Nor can it for
-    other D: the q^d term keeps q-degree d, so the large-eps coefficients
-    cut to q-degree <= D are the sum over d <= D.  The independent check of
+    :func:`expand_eps_inf` is derived from the same re-expansion, so both
+    sides are one sum and the check cannot fail.  The independent check of
     the large-eps regime is its table (:func:`einf_table_entry`)."""
-    if D is None:
-        D = G
     einf_data = expand_eps_inf(k, G)
-    total = _q0_in_inverse_eps(k, G, D)
-    for g in range(0, G + 1):
-        rhs = einf_data.coefficient(g)
-        lhs = total.coefficient_or((2 * g,), MultiPoly.zero(rhs.vars))
-        # restrict the target to q-degrees reachable with d <= D
-        qi = rhs.vars.index("q")
-        rhs_cut = MultiPoly.from_ints(rhs.vars, {e: n for e, n in rhs.num.items() if e[qi] <= D},
-                                      rhs.den)
-        if lhs != rhs_cut:
-            return False
-    return True
+    total = _q0_in_inverse_eps(k, G, G)
+    zero = MultiPoly.zero(_lam_vars(k) + ("q",))
+    return all(total.coefficient_or((2 * g,), zero) == einf_data.coefficient(g)
+               for g in range(0, G + 1))
 
 
 def eps0_series_coefficients(k: int, g: int, lam_order: int, d_max: int) -> dict:
@@ -437,15 +426,14 @@ def onepoint_oracle_match(data: RegimeExpansion) -> dict:
     return {str(d): part(ours, d) == part(oracle, d) for d in range(1, data.order + 1)}
 
 
-def eps0_q0_bridge(k: int, g_max: int, d_max: int, lam_order: int | None = None) -> bool:
+def eps0_q0_bridge(k: int, g_max: int, d_max: int) -> bool:
     """Exact bridge between the small-eps closed forms and the small-q data:
 
         sum_d q^d H_{k,d}(lam; eps)  ==  sum_g eps^(2g-2+2k) Hk[g](lam; q)
 
     compared coefficient-by-coefficient in (1/lam.., q) for every eps power
-    reachable with g <= g_max, through q^d_max."""
-    if lam_order is None:
-        lam_order = 2 * d_max + 2
+    reachable with g <= g_max, through q^d_max and lam^-(2 d_max + 2)."""
+    lam_order = 2 * d_max + 2
     eps_powers = {2 * g - 2 + 2 * k: g for g in range(0, g_max + 1)}
     lhs = q0_in_inverse_lam(expand_q0(k, d_max), lam_order)
     rhs: dict[tuple, dict[int, Fraction]] = {}
@@ -457,10 +445,9 @@ def eps0_q0_bridge(k: int, g_max: int, d_max: int, lam_order: int | None = None)
         # kernel; the plain kernel adds the Bernoulli tail of the digamma
         # asymptotic:  (1 - 2^(1-2g)) B_2g / (2g) lam^-2g  at q^0
         for g in range(1, g_max + 1):
-            corr = (1 - Fraction(2) ** (1 - 2 * g)) * bernoulli_number(2 * g) / (2 * g)
             if 2 * g <= lam_order:
                 tgt = rhs.setdefault((2 * g, 0), {})
-                tgt[2 * g] = tgt.get(2 * g, Fraction(0)) + corr
+                tgt[2 * g] = tgt.get(2 * g, Fraction(0)) + bernoulli_tail(g)
     for key in set(lhs) | set(rhs):
         lterms = lhs.get(key, {})
         rterms = rhs.get(key, {})
@@ -499,13 +486,14 @@ class RegimeReport:
         }
 
 
-def verify_eps0(k: int, g_max: int, lams, q, eps_list, tolerance=0.25) -> RegimeReport:
+def verify_eps0(k: int, g_max: int, lams, q, eps_list) -> RegimeReport:
     """Measure the remainder order of the small-eps expansion after
     subtracting the tabulated closed forms through genus g_max.
 
     Requires the region 0 < 2 sqrt(q)/lam_i < 1 with lam_i/eps > 0; the
     remainder between consecutive eps values must scale with the predicted
-    next order within the tolerance."""
+    next order within a relative tolerance of 0.25."""
+    tolerance = 0.25
     lams = list(lams)[:k] if k > 1 else [list(lams)[0] if isinstance(lams, (list, tuple)) else lams]
     for lam in lams:
         if not (0 < 2 * mpmath.sqrt(q) / lam < 1):
@@ -574,11 +562,16 @@ def _onepoint_drift_coeff(d: int, lam, eps, ctx):
             / ((2 * d + 1) * factorial(d) * ctx.mpf(2) ** (3 * d + 1)))
 
 
-def verify_q_inf(k: int, d_max: int, lams, eps, q_list, tolerance=0.30) -> RegimeReport:
+def verify_q_inf(k: int, d_max: int, lams, eps, q_list) -> RegimeReport:
     """Measure the residual decay order of the large-q expansion after
-    subtracting every tabulated term with q power >= -d_max/2."""
+    subtracting every tabulated term with q power >= -d_max/2; the measured
+    order must match the predicted one within a relative tolerance of 0.30.
+    Raises KeyError when d_max lies past the last tabulated d for k."""
+    tolerance = 0.30
     lams = list(lams)[:k]
     entries = _qinf_entries(k)
+    if d_max > max((e["d"] for e in entries), default=-1):
+        raise KeyError(f"no qinf table entry for k={k}, d={d_max}")
     remainders = []
     pc = PrecisionContext()
     ctx = pc.ctx
@@ -687,18 +680,20 @@ class DebyeCoefficients:
         return total
 
 
-def debye_check(nu_list, zeta, tolerance=0.30, bits=192) -> RegimeReport:
+def debye_check(nu_list, zeta) -> RegimeReport:
     """Large-order Bessel asymptotics: with V = nu V0 + V1 + V2/nu + V3/nu^2,
 
         J_(nu - 1/2)(nu zeta) ~ (nu - 1/2)^(nu - 1/2) / Gamma(nu + 1/2) e^V,
 
-    the relative residual must decay like nu^-3 across the given orders."""
+    the relative residual, evaluated at 192 bits, must decay like nu^-3
+    across the given orders within a relative tolerance of 0.30."""
+    tolerance = 0.30
     if not (0.05 < zeta < 0.95):
         raise ValueError("zeta must lie in (0.05, 0.95)")
     coeffs = DebyeCoefficients.load()
     if not coeffs.structural_check():
         raise TableEntryError("Debye table failed the structural check")
-    pc = PrecisionContext(bits)
+    pc = PrecisionContext(192)
     ctx = pc.ctx
     zeta_m = ctx.mpf(zeta)
     residuals = []

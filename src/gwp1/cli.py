@@ -328,6 +328,9 @@ def eval_cmd(ctx, op, args_, route):
         want = f"{fewest}" if fewest == most else f"at least {fewest}"
         click.echo(f"bad arguments: {op} takes {want} arguments, got {len(texts)}", err=True)
         sys.exit(EXIT_VALIDATION)
+    if route is not None and op not in ("D", "Hk"):
+        click.echo(f"bad arguments: --route applies to D and Hk only, not {op}", err=True)
+        sys.exit(EXIT_VALIDATION)
 
     def compute():
         pc = PrecisionContext(ctx.obj["precision_bits"])
@@ -444,19 +447,20 @@ def regime_cmd(ctx, name, k, dmax, gmax):
             if uncompared:  # indices past the table: derived, but checked by no route
                 payload["uncompared"] = uncompared
             return _dumps(payload)
-        if name == "eps0":
-            F = mpmath.mpf
+        F = mpmath.mpf
+        if name == "debye":
+            rep = asymptotics.debye_check([40, 80], 0.6)
+        else:
             try:
-                rep = asymptotics.verify_eps0(k, gmax, lams[:k], 1,
-                                              [F(1) / 8, F(1) / 16, F(1) / 32])
-            except KeyError as exc:  # no table entry for some g <= gmax
+                if name == "eps0":
+                    rep = asymptotics.verify_eps0(k, gmax, lams[:k], 1,
+                                                  [F(1) / 8, F(1) / 16, F(1) / 32])
+                else:
+                    rep = asymptotics.verify_q_inf(k, dmax, lams[:k], 400 / (6 * mpmath.pi),
+                                                   [10**4, 4 * 10**4])
+            except KeyError as exc:  # past the table: no entry for a g <= gmax or for dmax
                 click.echo(exc.args[0], err=True)
                 sys.exit(EXIT_VALIDATION)
-        elif name == "qinf":
-            rep = asymptotics.verify_q_inf(k, dmax, lams[:k], 400 / (6 * mpmath.pi),
-                                           [10**4, 4 * 10**4])
-        else:
-            rep = asymptotics.debye_check([40, 80], 0.6)
         if not rep.passed:
             click.echo(f"regime verification failed: {rep.to_json()}", err=True)
             sys.exit(EXIT_ROUTE_DISAGREEMENT)

@@ -23,24 +23,23 @@ from itertools import product
 from math import comb, factorial, inf, lcm
 
 from gwp1.resolvent import (
+    RING_S,
     RING_XE,
+    S_VARS,
     XE_LAURENT,
     XE_VARS,
+    Z,
     InsufficientOrderError,
     closed_form_M,
     substitute_shifted,
 )
-from gwp1.ring.numbers import bernoulli_number, bernoulli_poly, coset_reps
+from gwp1.ring.numbers import bernoulli_poly, bernoulli_tail, coset_reps
 from gwp1.ring.poly import MultiPoly, _int_add_into, _int_product
-from gwp1.ring.series import MultiSeries, inverse_power
+from gwp1.ring.series import MultiSeries
 
 
 def _xe_zero() -> MultiPoly:
     return MultiPoly.zero(XE_VARS, XE_LAURENT)
-
-
-def _xe_mono(xp: int, ep: int, c=Fraction(1)) -> MultiPoly:
-    return MultiPoly(XE_VARS, {(xp, ep): Fraction(c)}, XE_LAURENT)
 
 
 @lru_cache(maxsize=8)
@@ -300,6 +299,19 @@ def one_point_series(N: int) -> MultiSeries:
     return MultiSeries(("lam",), (N,), out, ring=RING_XE)
 
 
+def _one_point_from_z(terms: dict, N: int) -> MultiSeries:
+    """The one-point series through lam**-N from the z-series of its oracles:
+
+        (1/eps) [ S(z = (lam - x)/eps, s = 1/eps) + sum_{m>=2} x^m/(m lam^m) ],
+
+    with S = sum_t terms[(t,)] z^-t, each coefficient a polynomial in s."""
+    S = MultiSeries((Z,), (N,), terms, ring=RING_S)
+    xonly = {(m,): MultiPoly.from_ints(XE_VARS, {(m, 0): 1}, m, XE_LAURENT)
+             for m in range(2, N + 1)}
+    acc = substitute_shifted(S, "lam", N) + MultiSeries(("lam",), (N,), xonly, ring=RING_XE)
+    return acc.scale(MultiPoly.from_ints(XE_VARS, {(0, -1): 1}, 1, XE_LAURENT))
+
+
 def one_point_digamma_form(N: int) -> MultiSeries:
     """Independently organized one-point series (digamma-term form):
 
@@ -308,31 +320,21 @@ def one_point_digamma_form(N: int) -> MultiSeries:
         + sum_{j>=2} eps^j (lam - x)^-j sum_{i=1}^{[j/2]} eps^(-1-2i)/i!^2
               sum_{l=0}^{2i-1} (-1)^l C(2i-1, l) (i - l - 1/2)^(j-1)
 
+    The genus coefficient is -:func:`bernoulli_tail`; in z = (lam - x)/eps
+    and s = 1/eps the terms are (1/eps) z^-2g and (1/eps) z^-j s^2i.
     Used as a cross-check of :func:`one_point_series`.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    acc = MultiSeries.zero(("lam",), (N,), ring=RING_XE)
-    for g in range(1, N // 2 + 1):
-        c = Fraction(1 - 2 ** (2 * g - 1)) * bernoulli_number(2 * g) / (2 ** (2 * g) * g)
-        acc = acc + inverse_power("lam", 2 * g, _xe_mono(1, 0), N, _xe_mono(0, 2 * g - 1, c),
-                                  RING_XE)
-    xonly = {
-        (j,): _xe_mono(j, -1, Fraction(1, j)) for j in range(2, N + 1)
-    }
-    acc = acc + MultiSeries(("lam",), (N,), xonly, ring=RING_XE)
+    terms = {}
     for j in range(2, N + 1):
-        inner_total = _xe_zero()
+        coeffs = {(0,): -bernoulli_tail(j // 2)} if j % 2 == 0 else {}
         for i in range(1, j // 2 + 1):
-            s = Fraction(0)
-            for ell in range(0, 2 * i):
-                s += (-1) ** ell * comb(2 * i - 1, ell) * Fraction(2 * (i - ell) - 1, 2) ** (
-                    j - 1
-                )
-            inner_total = inner_total + _xe_mono(0, j - 1 - 2 * i, s / factorial(i) ** 2)
-        if not inner_total.is_zero():
-            acc = acc + inverse_power("lam", j, _xe_mono(1, 0), N, inner_total, RING_XE)
-    return acc
+            s = sum((-1) ** ell * comb(2 * i - 1, ell) * Fraction(2 * (i - ell) - 1, 2) ** (j - 1)
+                    for ell in range(2 * i))
+            coeffs[(2 * i,)] = s / factorial(i) ** 2
+        terms[(j,)] = MultiPoly(S_VARS, coeffs)
+    return _one_point_from_z(terms, N)
 
 
 QE_VARS = ("q", "eps")
@@ -377,31 +379,17 @@ def one_point_series_oracle(N: int) -> MultiSeries:
                   - sum_{g>=1} (1 - 2^(1-2g)) B_2g/(2g) eps^2g (lam-x)^-2g
                   + sum_{m>=2} x^m/(m lam^m) ]
 
-    This route shares no code with the Bernoulli-difference production
-    formula; exact agreement is an acceptance criterion.
+    H1q is homogeneous of degree 0, so its lam^-t q^d eps^(t-2d) term is
+    z^-t s^2d at q = 1, with z = (lam - x)/eps and s = 1/eps.  This route
+    shares no code with the Bernoulli-difference production formula; exact
+    agreement is an acceptance criterion.
     """
-    acc = MultiSeries.zero(("lam",), (N,), ring=RING_XE)
-    # H1 small-q part at q = 1, argument lam - x
-    for d in range(1, N // 2 + 1):
-        term = MultiSeries.const(
-            ("lam",), (N,), _xe_mono(0, 0, Fraction(factorial(2 * d - 1), factorial(d) ** 2)),
-            ring=RING_XE,
-        )
-        for jj in range(1, d + 1):
-            c2 = Fraction(2 * jj - 1, 2) ** 2
-            # 1/((lam-x)^2 - c2 eps^2) = sum_m c2^m eps^(2m) (lam-x)^-(2m+2)
-            factor = MultiSeries.zero(("lam",), (N,), ring=RING_XE)
-            for m in range(0, (N - 2) // 2 + 1):
-                factor = factor + inverse_power("lam", 2 + 2 * m, _xe_mono(1, 0), N,
-                                                _xe_mono(0, 2 * m, c2**m), RING_XE)
-            term = term * factor
-        acc = acc + term
-    for g in range(1, N // 2 + 1):
-        c = (1 - Fraction(2) ** (1 - 2 * g)) * bernoulli_number(2 * g) / (2 * g)
-        acc = acc - inverse_power("lam", 2 * g, _xe_mono(1, 0), N, _xe_mono(0, 2 * g, c), RING_XE)
-    xonly = {(m,): _xe_mono(m, 0, Fraction(1, m)) for m in range(2, N + 1)}
-    acc = acc + MultiSeries(("lam",), (N,), xonly, ring=RING_XE)
-    return acc.scale(_xe_mono(0, -1))
+    terms = {(t,): MultiPoly.from_ints(S_VARS, {(2 * d,): n for (d, _), n in p.num.items()},
+                                       p.den)
+             for (t,), p in one_point_qseries_oracle(N // 2, N).terms.items()}
+    for g in range(1, N // 2 + 1):  # H1q has a q^g term at lam^-2g
+        terms[(2 * g,)] -= bernoulli_tail(g)
+    return _one_point_from_z(terms, N)
 
 
 # ---------------------------------------------------------------------------

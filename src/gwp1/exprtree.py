@@ -20,13 +20,14 @@ the polynomial one takes num, var, add, mul, neg, pow and division by a num.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import reduce
+from itertools import count
 from math import isqrt, prod
+from operator import add, le, mul, sub
 
 from gwp1.ring.numbers import rat_from_str
-from gwp1.ring.poly import MultiPoly
+from gwp1.ring.poly import MultiPoly, _int_product
 
 
 class TableEntryError(ValueError):
@@ -156,9 +157,10 @@ class BoxSeries:
 
     Index convention: slot order is the region order (largest variable
     first); at a spectral slot index +m means var^-m, at the "q" slot it
-    means q^+m.  Terms live in the window [lo, hi] per slot.  Leads are
-    taken lexicographically in the slot order, which is the iterated-Laurent
-    expansion for |v_1| > |v_2| > ... .
+    means q^+m.  Terms live in the window [lo, hi] per slot, stored as a
+    :class:`MultiPoly` whose exponent vectors are the indices (every slot a
+    Laurent variable).  Leads are taken lexicographically in the slot order,
+    which is the iterated-Laurent expansion for |v_1| > |v_2| > ... .
 
     Window soundness: dropped below-window terms could only return to a kept
     index through multiplication by positive variable powers, and those come
@@ -166,116 +168,90 @@ class BoxSeries:
     the window deeper than the total positive degree occurring in the tree.
     """
 
-    __slots__ = ("vars", "lo", "hi", "terms")
+    __slots__ = ("vars", "lo", "hi", "poly")
 
-    def __init__(self, vars_, lo, hi, terms=None):
-        self.vars = tuple(vars_)
-        self.lo = tuple(lo)
-        self.hi = tuple(hi)
-        clean = {}
-        if terms:
-            for idx, c in terms.items():
-                c = Fraction(c)
-                if c and self._inside(idx):
-                    clean[tuple(idx)] = c
-        self.terms = clean
+    def __init__(self, vars_, lo, hi, poly: MultiPoly):
+        self.vars, self.lo, self.hi, self.poly = vars_, lo, hi, poly
 
-    def _inside(self, idx):
-        return all(l <= m <= h for m, l, h in zip(idx, self.lo, self.hi))
+    def _with(self, num, den=1):
+        """The series of this window with terms num[idx]/den (nonzero integers,
+        den > 0); indices outside the window are dropped."""
+        lo, hi = self.lo, self.hi
+        kept = {i: n for i, n in num.items() if all(map(le, lo, i)) and all(map(le, i, hi))}
+        return BoxSeries(self.vars, lo, hi, self.poly._wrap(kept, den))
+
+    @classmethod
+    def _monomial(cls, vars_, lo, hi, idx, value):
+        vars_ = tuple(vars_)
+        empty = cls(vars_, tuple(lo), tuple(hi), MultiPoly.zero(vars_, vars_))
+        value = Fraction(value)
+        return empty._with({tuple(idx): value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def constant(cls, value, vars_, lo, hi):
-        z = (0,) * len(vars_)
-        return cls(vars_, lo, hi, {z: Fraction(value)})
+        return cls._monomial(vars_, lo, hi, (0,) * len(vars_), value)
 
     @classmethod
     def variable(cls, name, vars_, lo, hi):
         e = [0] * len(vars_)
-        i = list(vars_).index(name)
-        e[i] = 1 if name == "q" else -1  # q^+1 vs var^+1 == (1/var)^-1
-        return cls(vars_, lo, hi, {tuple(e): Fraction(1)})
+        e[list(vars_).index(name)] = 1 if name == "q" else -1  # q^+1 vs var^+1 == (1/var)^-1
+        return cls._monomial(vars_, lo, hi, e, 1)
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as a new dict, index -> Fraction."""
+        return self.poly.terms
 
     def is_zero(self):
-        return not self.terms
+        return not self.poly
 
     def __neg__(self):
-        return BoxSeries(self.vars, self.lo, self.hi, {i: -c for i, c in self.terms.items()})
+        return BoxSeries(self.vars, self.lo, self.hi, -self.poly)
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for i, c in other.terms.items():
-            v = terms.get(i, Fraction(0)) + c
-            if v:
-                terms[i] = v
-            else:
-                terms.pop(i, None)
-        return BoxSeries(self.vars, self.lo, self.hi, terms)
+        return BoxSeries(self.vars, self.lo, self.hi, self.poly + other.poly)
 
     def __sub__(self, other):
-        return self + (-other)
+        return BoxSeries(self.vars, self.lo, self.hi, self.poly - other.poly)
 
     def __mul__(self, other):
-        out = {}
-        for ia, ca in self.terms.items():
-            for ib, cb in other.terms.items():
-                idx = tuple(x + y for x, y in zip(ia, ib))
-                if not self._inside(idx):
-                    continue
-                v = out.get(idx, Fraction(0)) + ca * cb
-                if v:
-                    out[idx] = v
-                else:
-                    del out[idx]
-        return BoxSeries(self.vars, self.lo, self.hi, out)
-
-    def _lead(self):
-        if not self.terms:
-            raise TableEntryError("lead of the zero expansion")
-        return min(self.terms)
+        a, b = self.poly, other.poly
+        if len(a.num) > len(b.num):
+            a, b = b, a
+        return self._with(_int_product(a.num, b.num, self.hi), a.den * b.den)
 
     def _unit_split(self):
         """Split as c0 * X^m0 * (1 + v) with every v-term lex-positive."""
-        m0 = self._lead()
-        c0 = self.terms[m0]
-        shifted = {}
-        for idx, c in self.terms.items():
-            nidx = tuple(a - b for a, b in zip(idx, m0))
-            if self._inside(nidx):
-                shifted[nidx] = c / c0
-        unit = BoxSeries(self.vars, self.lo, self.hi, shifted)
-        return c0, m0, unit
+        if not self.poly:
+            raise TableEntryError("lead of the zero expansion")
+        num, den = self.poly.num, self.poly.den
+        m0 = min(num)
+        n0 = num[m0]
+        # terms n/den over c0 = n0/den are n/n0; the sign moves to keep den > 0
+        sign = 1 if n0 > 0 else -1
+        unit = self._with({tuple(map(sub, i, m0)): sign * n for i, n in num.items()}, abs(n0))
+        return Fraction(n0, den), m0, unit
 
-    def _iter_bound(self):
-        # each multiplication by a lex-positive v strictly raises the least
-        # lex index, so the box volume bounds the iteration count
-        vol = 1
-        for h, l in zip(self.hi, self.lo):
-            vol *= h - l + 1
-        return vol
+    def _series_from_unit(self, coeffs_fn):
+        """sum_j coeffs_fn(j) * v^j over the lex-positive part v of this unit.
 
-    def _series_from_unit(self, unit_terms, coeffs_fn):
-        """sum_j coeffs_fn(j) * v^j over the lex-positive part v."""
-        z = (0,) * len(self.vars)
-        v = BoxSeries(self.vars, self.lo, self.hi,
-                      {i: c for i, c in unit_terms.items() if i != z})
-        acc = BoxSeries.constant(coeffs_fn(0), self.vars, self.lo, self.hi)
+        Each multiplication by v strictly raises the least lex index of the
+        power, so inside the finite window the powers reach zero."""
+        v = self._with({i: n for i, n in self.poly.num.items() if any(i)}, self.poly.den)
+        acc = BoxSeries.constant(coeffs_fn(0), self.vars, self.lo, self.hi).poly
         term = BoxSeries.constant(1, self.vars, self.lo, self.hi)
-        for j in range(1, self._iter_bound() + 1):
+        for j in count(1):
             term = term * v
             if term.is_zero():
-                break
+                return BoxSeries(self.vars, self.lo, self.hi, acc)
             cj = coeffs_fn(j)
             if cj:
-                acc = acc + BoxSeries(self.vars, self.lo, self.hi,
-                                      {i: c * cj for i, c in term.terms.items()})
-        return acc
+                acc = acc + term.poly * cj
 
     def inverse(self):
         c0, m0, unit = self._unit_split()
-        inv_unit = unit._series_from_unit(unit.terms, lambda j: Fraction((-1) ** j))
-        neg = BoxSeries(self.vars, self.lo, self.hi,
-                        {tuple(-m for m in m0): Fraction(1) / c0})
-        return neg * inv_unit
+        inv_unit = unit._series_from_unit(lambda j: Fraction((-1) ** j))
+        return BoxSeries._monomial(self.vars, self.lo, self.hi, [-m for m in m0], 1 / c0) * inv_unit
 
     def sqrt(self):
         if self.is_zero():
@@ -296,19 +272,19 @@ class BoxSeries:
                 binom.append(binom[-1] * (Fraction(1, 2) - (jj - 1)) / jj)
             return binom[j]
 
-        root_unit = unit._series_from_unit(unit.terms, coeffs)
-        mono = BoxSeries(self.vars, self.lo, self.hi,
-                         {tuple(m // 2 for m in m0): Fraction(num_r, den_r)})
+        root_unit = unit._series_from_unit(coeffs)
+        mono = BoxSeries._monomial(self.vars, self.lo, self.hi, [m // 2 for m in m0],
+                                   Fraction(num_r, den_r))
         return mono * root_unit
 
     def log(self):
         c0, m0, unit = self._unit_split()
         if c0 != 1 or any(m0):
             raise TableEntryError("log requires a unit lead monomial")
-        return unit._series_from_unit(unit.terms, lambda j: Fraction((-1) ** (j + 1), j) if j else Fraction(0))
+        return unit._series_from_unit(lambda j: Fraction((-1) ** (j + 1), j) if j else Fraction(0))
 
     def coefficient(self, idx):
-        return self.terms.get(tuple(idx), Fraction(0))
+        return Fraction(self.poly.num.get(tuple(idx), 0), self.poly.den)
 
 
 def eval_box_series(tree, vars_, lo, hi) -> BoxSeries:
@@ -331,8 +307,8 @@ def eval_box_series(tree, vars_, lo, hi) -> BoxSeries:
     return _fold(tree, {
         "num": lambda node, _: BoxSeries.constant(rat_from_str(node["value"]), vars_, lo, hi),
         "var": var,
-        "add": lambda node, xs: reduce(operator.add, xs),
-        "mul": lambda node, xs: reduce(operator.mul, xs),
+        "add": lambda node, xs: reduce(add, xs),
+        "mul": lambda node, xs: reduce(mul, xs),
         "neg": lambda node, xs: -xs[0],
         "div": lambda node, xs: xs[0] * xs[1].inverse(),
         "sqrt": lambda node, xs: xs[0].sqrt(),

@@ -84,6 +84,12 @@ def bernoulli_number(n: int) -> Fraction:
         return _bernoulli_cache[n]
 
 
+def bernoulli_tail(g: int) -> Fraction:
+    """(1 - 2^(1-2g)) B_2g / (2g), the z^-2g coefficient (g >= 1) of the
+    large-z expansion of psi(1/2 + z) - log z."""
+    return (1 - Fraction(2) ** (1 - 2 * g)) * bernoulli_number(2 * g) / (2 * g)
+
+
 def bernoulli_poly(j: int):
     """Bernoulli polynomial B_j(u), the unique polynomial with
 

@@ -328,13 +328,6 @@ class MultiPoly:
         return [{"exponents": list(e), "coeff": rat_to_str(c)}
                 for e, c in sorted(self.terms.items())]
 
-    @classmethod
-    def from_json(cls, variables, data, laurent=()):
-        from gwp1.ring.numbers import rat_from_str
-
-        return cls(variables, {tuple(t["exponents"]): rat_from_str(t["coeff"]) for t in data},
-                   laurent)
-
     def __repr__(self):
         if not self.num:
             return "0"

@@ -114,6 +114,19 @@ class TestCrossRegime:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "acacd91fc194658ad35e40dfe3d5f2fdf9facb139cdd789519d09e1ce029acf5")
 
+    @pytest.mark.parametrize("k,g,sha256", [
+        (1, 0, "2662d068dfaa343e29b23e6dee50e1b9cba641084f0adee18796e966f9dae64d"),
+        (1, 1, "71f887ffa0d6b99846fb89e07c8b115fe63fc0256a516abd9a859e30e3f6a980"),
+        (1, 2, "a759153ad210c0337ae64b3ee5ac8b521a45ce28ceb67f9388ca5998efbc86cb"),
+        (2, 0, "27aa777f275746cb4f63872b091c72ab1cda38e9f5f7b4fa0884a886db5f048f"),
+        (2, 1, "3becdf3ed838d05b73de6e5cd12455a902a4dac6661b04722916a323c9f1f513"),
+        (3, 0, "646c9b5ff2f4d24c2dffea593f2ff9da0c6f10a75af1149706f19eefe7440c8d"),
+    ])
+    def test_eps0_series_coefficients_are_pinned(self, k, g, sha256):
+        coeffs = eps0_series_coefficients(k, g, 12, 4)
+        text = json.dumps(sorted([list(i), str(c)] for i, c in coeffs.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
     def test_two_point_genus0_series_values(self):
         table = eps0_series_coefficients(2, 0, 8, 3)
         # degree-1 block: the only entry is (2,2) with value 1
@@ -251,6 +264,14 @@ class TestExprTrees:
         assert root.coefficient((2,)) == -2
         logv = (one + (-q)).inverse().log()
         assert logv.coefficient((3,)) == Fraction(1, 3)
+
+    def test_box_series_inverse_of_a_negative_lead(self):
+        # 1/(q - 2) = -1/2 - q/4 - q^2/8 - ..., kept over a positive denominator
+        vars_, lo, hi = ("q",), (0,), (3,)
+        q = BoxSeries.variable("q", vars_, lo, hi)
+        inv = (q - BoxSeries.constant(2, vars_, lo, hi)).inverse()
+        assert inv.terms == {(m,): Fraction(-1, 2 ** (m + 1)) for m in range(4)}
+        assert inv.poly.den > 0
 
     def test_box_series_sqrt_of_a_large_square(self):
         # a float square root misses squares above about 2^106

@@ -106,6 +106,19 @@ def test_eval_wrong_argument_count_exit_code(runner, tmp_path):
     assert not list(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize("op,args,route", [
+    ("G", "0.3;1", "bogus"),
+    ("H1star", "0.3;1", "trace"),
+    ("Dstar", "0.5;0.3;1.1", "series"),
+])
+def test_eval_route_on_an_op_without_routes_exit_code(runner, tmp_path, op, args, route):
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path), "eval", "--op", op,
+                                  "--args", args, "--route", route])
+    assert result.exit_code == 2
+    assert f"--route applies to D and Hk only, not {op}" in result.output
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_corrupt_cache_file_is_a_miss(runner, tmp_path):
     args = ["invariant", "--k", "2", "--i", "1,1", "--g", "0"]
     first = invoke(runner, tmp_path, *args).output
@@ -275,6 +288,11 @@ def test_eval_rejects_arguments_beyond_binary64(runner, tmp_path, op, args):
     (["--name", "eps0", "--k", "4"], "k <= 3"),
     (["--name", "eps0", "--k", "2", "--gmax", "2"], "no eps0 table entry for k=2, g=2"),
     (["--name", "qinf", "--k", "4"], "k <= 3"),
+    (["--name", "qinf", "--k", "2", "--dmax", "4"], "no qinf table entry for k=2, d=4"),
+    (["--name", "qinf", "--k", "2", "--dmax", "5"], "no qinf table entry for k=2, d=5"),
+    (["--name", "qinf", "--k", "3", "--dmax", "3"], "no qinf table entry for k=3, d=3"),
+    (["--name", "qinf", "--k", "1", "--dmax", "5"], "no qinf table entry for k=1, d=5"),
+    (["--name", "qinf", "--k", "1", "--dmax", "6"], "no qinf table entry for k=1, d=6"),
     (["--name", "q0", "--k", "4", "--dmax", "1"], "no q0 entry for k=4"),
     (["--name", "einf", "--k", "4", "--gmax", "0"], "no einf entry for k=4"),
     (["--name", "q0", "--k", "2", "--dmax", "0"], "no q0 entry for k=2 and 1 <= d <= 0"),

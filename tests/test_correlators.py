@@ -2,6 +2,7 @@
 multi-point coefficients, parity/symmetry/region properties, one-point
 routes and the degree bookkeeping."""
 
+import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -167,6 +168,12 @@ class TestOnePoint:
         oracle = one_point_series_oracle(20)
         for j in range(2, 21):
             assert _one_point_coefficient(j) == oracle.coefficient_or((j,), xe({})), j
+
+    @pytest.mark.parametrize("route", [one_point_digamma_form, one_point_series_oracle])
+    def test_oracle_payloads_are_pinned(self, route):
+        text = json.dumps(route(18).to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0a4ae029924f6603bb20c7d5789f1d84cde1fee08b3c9619a31da26248ab060b")
 
     def test_qseries_oracle_terms(self):
         qq = one_point_qseries_oracle(2, 6)

@@ -361,7 +361,8 @@ def test_mat2_cayley_hamilton():
 
 def test_poly_json_roundtrip():
     p = MultiPoly(("a", "b"), {(1, 2): Fraction(3, 7), (0, 0): Fraction(-2)})
-    assert MultiPoly.from_json(("a", "b"), p.to_json()) == p
+    assert p.to_json() == [{"exponents": [0, 0], "coeff": "-2"},
+                           {"exponents": [1, 2], "coeff": "3/7"}]
 
 
 def test_series_json_shape():
