@@ -288,15 +288,15 @@ def test_eval_rejects_arguments_beyond_binary64(runner, tmp_path, op, args):
     (["--name", "eps0", "--k", "4"], "k <= 3"),
     (["--name", "eps0", "--k", "2", "--gmax", "2"], "no eps0 table entry for k=2, g=2"),
     (["--name", "qinf", "--k", "4"], "k <= 3"),
+    (["--name", "q0", "--k", "4", "--dmax", "1"], "no q0 entry for k=4"),
+    (["--name", "einf", "--k", "4", "--gmax", "0"], "no einf entry for k=4"),
+    (["--name", "q0", "--k", "2", "--dmax", "0"], "no q0 entry for k=2 and 1 <= d <= 0"),
+    (["--name", "q0", "--k", "1", "--dmax", "0"], "no q0 entry for k=1 and 1 <= d <= 0"),
     (["--name", "qinf", "--k", "2", "--dmax", "4"], "no qinf table entry for k=2, d=4"),
     (["--name", "qinf", "--k", "2", "--dmax", "5"], "no qinf table entry for k=2, d=5"),
     (["--name", "qinf", "--k", "3", "--dmax", "3"], "no qinf table entry for k=3, d=3"),
     (["--name", "qinf", "--k", "1", "--dmax", "5"], "no qinf table entry for k=1, d=5"),
     (["--name", "qinf", "--k", "1", "--dmax", "6"], "no qinf table entry for k=1, d=6"),
-    (["--name", "q0", "--k", "4", "--dmax", "1"], "no q0 entry for k=4"),
-    (["--name", "einf", "--k", "4", "--gmax", "0"], "no einf entry for k=4"),
-    (["--name", "q0", "--k", "2", "--dmax", "0"], "no q0 entry for k=2 and 1 <= d <= 0"),
-    (["--name", "q0", "--k", "1", "--dmax", "0"], "no q0 entry for k=1 and 1 <= d <= 0"),
 ])
 def test_regime_outside_the_tables_exit_code(runner, tmp_path, args, message):
     result = runner.invoke(main, ["--cache-dir", str(tmp_path), "--no-cache", "regime", *args])
