@@ -785,6 +785,22 @@ def asymptotic_matching_residuals(pc: PrecisionContext, z, s=1, N: int = 10):
     return residuals, bounds
 
 
+def _kernel_large_order_row(n: int, P: int):
+    """Integer numerators N[p][q], p, q <= P, of the s^(2n) row of the
+    coefficients below: the row is N[p][q] / (n! (n-1)!^2 2^(p+q)), from
+    1/((i-1)!(n-i)!) = C(n-1, i-1)/(n-1)!."""
+    row = [[0] * (P + 1) for _ in range(P + 1)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 2 - i):
+            # (i+j-2n)_(n-1), nonzero for i + j <= n + 1
+            w = ((-1) ** (i + j) * math.prod(range(i + j - 2 * n, i + j - n - 1))
+                 * math.comb(n - 1, i - 1) * math.comb(n - 1, j - 1))
+            for p in range(P + 1):
+                for q in range(P + 1):
+                    row[p][q] += (-1) ** (q + 1) * w * (2 * i - 1) ** p * (2 * j - 1) ** q
+    return row
+
+
 def kernel_large_order_coefficients(pc: PrecisionContext, s, P: int):
     """Coefficients c[p][q] of the large-argument expansion of the pairing
     kernel minus its leading pole:
@@ -796,49 +812,21 @@ def kernel_large_order_coefficients(pc: PrecisionContext, s, P: int):
                      (i-1/2)^p (j-1/2)^q / ((i-1)!(j-1)!(n-i)!(n-j)!)
 
     (double partial-fraction development of the kernel series; terms with
-    i + j in [n+2, 2n] vanish because the Pochhammer factor does).  The
-    n-sum stops once s^(2n)/n! falls below the context tolerance, or at
-    n = 40.
+    i + j in [n+2, 2n] vanish because the Pochhammer factor does).  The n-th
+    term of the kernel series is homogeneous of degree -(n+1) in (a, b), so
+    row n reaches c_pq only for n <= p + q + 1: each c_pq is a polynomial in
+    s^2 with exact rational coefficients, evaluated at s.
     """
-    from math import factorial
-
     ctx = pc.ctx
-    s = pc.mpc(s)
+    s2 = pc.mpc(s) ** 2
     out = [[ctx.mpc(0) for _ in range(P + 1)] for _ in range(P + 1)]
-    threshold = pc.tol()
-    for n in range(1, 41):
-        s2n = s ** (2 * n)
-        pref = -s2n / factorial(n)
-        if abs(pref) < threshold:
-            break
-        for i in range(1, n + 1):
-            for j in range(1, n + 2 - i):
-                poch = ctx.mpf(1)
-                x = i + j - 2 * n
-                for t in range(n - 1):
-                    poch *= x + t
-                if poch == 0:
-                    continue
-                base = (
-                    pref
-                    * (-1) ** (i + j)
-                    * poch
-                    / (
-                        factorial(i - 1)
-                        * factorial(j - 1)
-                        * factorial(n - i)
-                        * factorial(n - j)
-                    )
-                )
-                ai = ctx.mpf(2 * i - 1) / 2
-                bj = ctx.mpf(2 * j - 1) / 2
-                pw_a = ctx.mpf(1)
-                for p in range(P + 1):
-                    pw_b = ctx.mpf(1)
-                    for q in range(P + 1):
-                        out[p][q] += (-1) ** q * base * pw_a * pw_b
-                        pw_b *= bj
-                    pw_a *= ai
+    for n in range(1, 2 * P + 2):
+        row = _kernel_large_order_row(n, P)
+        den = math.factorial(n) * math.factorial(n - 1) ** 2
+        s2n = s2**n
+        for p in range(P + 1):
+            for q in range(P + 1):
+                out[p][q] += s2n * ctx.mpf(row[p][q]) / (den << (p + q))
     return out
 
 

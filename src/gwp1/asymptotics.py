@@ -27,7 +27,6 @@ from gwp1.exprtree import TableEntryError, eval_box_series, eval_numeric, eval_p
 from gwp1.ring.numbers import bernoulli_tail, coset_reps, odd_double_factorial
 from gwp1.ring.poly import MultiPoly
 from gwp1.ring.ratfun import FactoredRatFun, diff_factor, lam_eps_factor
-from gwp1.ring.series import MultiSeries, inverse_power
 
 EPS = "eps"
 
@@ -270,43 +269,29 @@ def einf_table_entry(k: int, g: int) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def _eps_expand(h: FactoredRatFun, target_vars, d: int, order: int) -> MultiSeries:
-    """q^d h, for a small-q coefficient h over (lam.., eps), expanded for
-    large eps: a series in 1/eps over polynomials in (lam.., q), exact
-    through eps^-order.  Each factor must be of the kind (lam + c eps):
-
-        (lam + c eps)^-m = c^-m sum_j C(m+j-1, j) (-lam/c)^j eps^-(m+j).
-
-    Each factor raises every index by at least its multiplicity, so the
-    partial products are kept only through the indices that can still land
-    at or below ``order``.
-    """
-    ring = f"QQ[{','.join(target_vars)}]"
-    ei = h.vars.index(EPS)
-    by_power: dict[int, dict] = {}
-    for e, n in h.num.num.items():
-        by_power.setdefault(-e[ei], {})[e[:ei] + e[ei + 1:] + (d,)] = n
-    terms = {(p,): MultiPoly.from_ints(target_vars, t, h.num.den) for p, t in by_power.items()}
-    series = MultiSeries((EPS,), (order - sum(h.den.values()),), terms,
-                         floors=(min(by_power, default=0),), ring=ring)
-    for f, mult in h.den.items():
-        if f[0] != "lin":
-            raise AssertionError(f"large-eps expansion of an unresolved pole {f}")
-        _, v, c = f
-        a = MultiPoly.variable(target_vars, v) * (-1 / c)
-        scale = MultiPoly.const(target_vars, c**-mult)
-        # through the index that keeps the product exact to series order + mult
-        top = series.orders[0] + mult - series.floors[0]
-        series = series * inverse_power(EPS, mult, a, top, scale, ring)
-    return series
+def _q0_sum(data: RegimeExpansion, large, order: int) -> MultiPoly:
+    """sum_d q^d H_{k,d} over the small-q coefficients of ``data`` (from
+    :func:`expand_q0`), each expanded by :meth:`FactoredRatFun.expand` where
+    ``large`` is big: one polynomial over (lam1..lamk, q, eps) whose q slot
+    holds d and whose other slots are those of that expansion."""
+    k = data.k
+    vars_ = _lam_vars(k) + ("q", EPS)
+    out = MultiPoly.zero(vars_, vars_)
+    for d, h in data.coefficients:
+        p = h.expand(large, order)
+        out = out + out._wrap({e[:k] + (d, e[k]): n for e, n in p.num.items()}, p.den)
+    return out
 
 
-def _q0_in_inverse_eps(k: int, G: int, D: int) -> MultiSeries:
+def _q0_in_inverse_eps(k: int, G: int, D: int) -> dict:
     """sum_{d <= D} q^d H_{k,d}, each small-q coefficient expanded in 1/eps
-    through eps^-2G: a series in 1/eps over polynomials in (lam.., q)."""
-    target_vars = _lam_vars(k) + ("q",)
-    parts = [_eps_expand(h, target_vars, d, 2 * G) for d, h in expand_q0(k, D).coefficients]
-    return sum(parts[1:], parts[0])
+    through eps^-2G: {eps index: polynomial in (lam.., q)}."""
+    total = _q0_sum(expand_q0(k, D), {EPS}, 2 * G)
+    by_index: dict[int, dict] = {}
+    for e, n in total.num.items():
+        by_index.setdefault(e[-1], {})[e[:-1]] = n
+    return {i: MultiPoly.from_ints(_lam_vars(k) + ("q",), num, total.den)
+            for i, num in by_index.items()}
 
 
 def expand_eps_inf(k: int, G: int) -> RegimeExpansion:
@@ -319,11 +304,11 @@ def expand_eps_inf(k: int, G: int) -> RegimeExpansion:
     zero = MultiPoly.zero(_lam_vars(k) + ("q",))
     coeffs = []
     for g in range(0, G + 1):
-        p = total.coefficient_or((2 * g,), zero)
+        p = total.get(2 * g, zero)
         _check_poly_grading(p, 2 * g, f"H_{k},[{g}]")
         coeffs.append((g, p))
     # odd inverse powers and positive powers of eps must cancel identically
-    for (idx,) in total.terms:
+    for idx in total:
         if idx < 0 or idx % 2:
             raise AssertionError(f"unexpected eps^{-idx} term in the expansion")
     return RegimeExpansion(regime="epsInf", k=k, order=G, coefficients=tuple(coeffs))
@@ -345,7 +330,7 @@ def q0_einf_consistency(k: int, G: int) -> bool:
     einf_data = expand_eps_inf(k, G)
     total = _q0_in_inverse_eps(k, G, G)
     zero = MultiPoly.zero(_lam_vars(k) + ("q",))
-    return all(total.coefficient_or((2 * g,), zero) == einf_data.coefficient(g)
+    return all(total.get(2 * g, zero) == einf_data.coefficient(g)
                for g in range(0, G + 1))
 
 
@@ -370,60 +355,32 @@ def eps0_series_coefficients(k: int, g: int, lam_order: int, d_max: int) -> dict
     }
 
 
-def q0_in_inverse_lam(data: RegimeExpansion, lam_order: int) -> dict:
-    """The small-q coefficients H_{k,d} of ``data`` (from :func:`expand_q0`)
-    expanded in 1/lam through lam^-lam_order in each variable:
-    {(t_1..t_k, d): {eps power: c}} over t_i >= 0.  Each factor must be of
-    the kind (lam + c eps):
+def q0_in_inverse_lam(data: RegimeExpansion, lam_order: int) -> MultiPoly:
+    """:func:`_q0_sum` in 1/lam through lam^-lam_order in every variable,
+    over the inverse indices t_i >= 0 of its lam slots."""
+    total = _q0_sum(data, _lam_vars(data.k), lam_order)
+    return total._wrap({e: n for e, n in total.num.items() if min(e[:data.k]) >= 0},
+                       total.den)
 
-        (lam + c eps)^-1 = sum_m (-c)^m eps^m lam^-(m+1).
-    """
-    k = data.k
-    out = {}
-    for d, h in data.coefficients:
-        ei = h.vars.index(EPS)
-        acc: dict[tuple, dict[int, Fraction]] = {}
-        for e, c in h.num.terms.items():
-            acc.setdefault(tuple(-x for x in e[:k]), {})[e[ei]] = c
-        for f, mult in h.den.items():
-            if f[0] != "lin":
-                raise AssertionError(f"1/lam expansion of an unresolved pole {f}")
-            _, v, cc = f
-            vi = h.vars.index(v)
-            for _ in range(mult):
-                nxt: dict[tuple, dict[int, Fraction]] = {}
-                for idx, ep in acc.items():
-                    for m in range(lam_order - idx[vi]):
-                        factor = (-cc) ** m
-                        tgt = nxt.setdefault(idx[:vi] + (idx[vi] + m + 1,) + idx[vi + 1:], {})
-                        for p, c in ep.items():
-                            v2 = tgt.get(p + m, 0) + c * factor
-                            if v2:
-                                tgt[p + m] = v2
-                            else:
-                                tgt.pop(p + m, None)
-                acc = {i: ep for i, ep in nxt.items() if ep}
-        out.update({idx + (d,): ep for idx, ep in acc.items() if min(idx) >= 0})
-    return out
+
+def _restrict(p: MultiPoly, slot: int, values) -> MultiPoly:
+    """The terms of ``p`` whose exponent in ``slot`` lies in ``values``."""
+    return p._wrap({e: n for e, n in p.num.items() if e[slot] in values}, p.den)
 
 
 def onepoint_oracle_match(data: RegimeExpansion) -> dict:
     """Each one-point coefficient H_{1,d}, d >= 1, of ``data`` against the
     small-q oracle :func:`correlators.one_point_qseries_oracle`, which
     shares no code with :func:`expand_q0`.  Both sides are expanded in 1/lam
-    through lam^-(2D+2), D the order of ``data``; {str(d): every term of
-    either side is a term of the other}."""
+    through lam^-(2D+2), D the order of ``data``; {str(d): the q^d parts of
+    the two sides are equal}."""
     lam_order = 2 * data.order + 2
-    oracle: dict[tuple, dict[int, Fraction]] = {}
-    for (t,), poly in one_point_qseries_oracle(data.order, lam_order).terms.items():
-        for (d, p), c in poly.terms.items():
-            oracle.setdefault((t, d), {})[p] = c
     ours = q0_in_inverse_lam(data, lam_order)
-
-    def part(table, d):
-        return {key: ep for key, ep in table.items() if key[1] == d}
-
-    return {str(d): part(ours, d) == part(oracle, d) for d in range(1, data.order + 1)}
+    oracle = MultiPoly.zero(ours.vars, ours.laurent)
+    for (t,), poly in one_point_qseries_oracle(data.order, lam_order).terms.items():
+        oracle = oracle + oracle._wrap({(t,) + e: n for e, n in poly.num.items()}, poly.den)
+    return {str(d): _restrict(ours, 1, {d}) == _restrict(oracle, 1, {d})
+            for d in range(1, data.order + 1)}
 
 
 def eps0_q0_bridge(k: int, g_max: int, d_max: int) -> bool:
@@ -434,27 +391,20 @@ def eps0_q0_bridge(k: int, g_max: int, d_max: int) -> bool:
     compared coefficient-by-coefficient in (1/lam.., q) for every eps power
     reachable with g <= g_max, through q^d_max and lam^-(2 d_max + 2)."""
     lam_order = 2 * d_max + 2
-    eps_powers = {2 * g - 2 + 2 * k: g for g in range(0, g_max + 1)}
+    eps_powers = {2 * g - 2 + 2 * k for g in range(0, g_max + 1)}
     lhs = q0_in_inverse_lam(expand_q0(k, d_max), lam_order)
-    rhs: dict[tuple, dict[int, Fraction]] = {}
+    rhs: dict[tuple, Fraction] = {}
     for g in range(0, g_max + 1):
         for idx, c in eps0_series_coefficients(k, g, lam_order, d_max).items():
-            rhs.setdefault(idx, {})[2 * g - 2 + 2 * k] = c
+            rhs[idx + (2 * g - 2 + 2 * k,)] = c
     if k == 1:
         # the tabulated one-point coefficients belong to the Gamma-rescaled
         # kernel; the plain kernel adds the Bernoulli tail of the digamma
         # asymptotic:  (1 - 2^(1-2g)) B_2g / (2g) lam^-2g  at q^0
         for g in range(1, g_max + 1):
             if 2 * g <= lam_order:
-                tgt = rhs.setdefault((2 * g, 0), {})
-                tgt[2 * g] = tgt.get(2 * g, Fraction(0)) + bernoulli_tail(g)
-    for key in set(lhs) | set(rhs):
-        lterms = lhs.get(key, {})
-        rterms = rhs.get(key, {})
-        for p in eps_powers:
-            if lterms.get(p, Fraction(0)) != rterms.get(p, Fraction(0)):
-                return False
-    return True
+                rhs[(2 * g, 0, 2 * g)] = rhs.get((2 * g, 0, 2 * g), 0) + bernoulli_tail(g)
+    return _restrict(lhs, k + 1, eps_powers) == MultiPoly(lhs.vars, rhs, lhs.laurent)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Command-line surface: computation dispatch, persistence and caching.
 
-Exit codes: 0 success, 2 validation error (a pole of a series included) or a
+Exit codes: 0 success, 2 validation error (a pole of a series included), a
 precision beyond the working cap (``analytic.PrecisionCapError``: the
 requested bits plus the bits lost to cancellation exceed
-``analytic.MAX_WORKING_BITS``), 3 numerical route disagreement, 4
+``analytic.MAX_WORKING_BITS``) or a cache entry or ``--output`` file that
+cannot be written, 3 numerical route disagreement, 4
 insufficient series order.  Results are emitted as
 deterministic JSON (sorted keys, decimal-string numbers) or flat CSV for
 coefficient tables.
@@ -80,24 +81,35 @@ def _cache_read(cache_dir: str, key: str):
     return entry["payload"]
 
 
+def _write_failed(what: str, path: str, exc: OSError):
+    click.echo(f"cannot write {what} {path}: {exc.strerror or exc}", err=True)
+    sys.exit(EXIT_VALIDATION)
+
+
 def _cache_write(cache_dir: str, key: str, payload: str):
-    os.makedirs(cache_dir, exist_ok=True)
     entry = {"key": key, "created_at": time.time(), "payload": payload}
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             json.dump(entry, fh)
         os.replace(tmp, os.path.join(cache_dir, key + ".json"))
+    except OSError as exc:
+        _write_failed("the cache entry under", cache_dir, exc)
     finally:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
 
 
 def _emit(ctx_obj, payload: str):
     out = ctx_obj.get("output")
     if out:
-        with open(out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            _write_failed("the output file", out, exc)
     else:
         click.echo(payload, nl=False)
         if not payload.endswith("\n"):

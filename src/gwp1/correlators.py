@@ -460,11 +460,13 @@ def extract_invariant(key: CorrelatorKey, region: tuple | None = None) -> Invari
 
     The x**m Taylor coefficient carries the unit-class insertions; the value
     sits at the eps**(2g-2+k) coefficient after removing the ladder
-    factorials.  Keys failing the dimension relation report a flagged zero.
+    factorials.  Keys failing the dimension relation report a flagged zero,
+    at the declared degree when the key has one.
     """
     fd = key.forced_degree()
     if key.is_structural_zero():
-        return InvariantResult(key=key, value=Fraction(0), d=fd, structural_zero=True)
+        return InvariantResult(key=key, value=Fraction(0), d=fd if key.d is None else key.d,
+                               structural_zero=True)
     norm = Fraction(factorial(key.m))
     for i in key.insertions:
         norm /= factorial(i + 1)

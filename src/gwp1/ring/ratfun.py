@@ -10,16 +10,19 @@ coefficients of the k-point functions; the second occurs in intermediate
 cyclic sums and must cancel.  Sums and products keep every factor they are
 given; :meth:`FactoredRatFun.reduce` cancels them by exact division attempts
 (no general gcd machinery is used or needed), and is called once, where a
-finished value is read.
+finished value is read.  :meth:`FactoredRatFun.expand` is the one expansion
+of a function with only ``lin`` factors, in either region (large eps or
+large lam).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from typing import Iterable
 
-from gwp1.ring.poly import MultiPoly
+from gwp1.ring.poly import MultiPoly, _int_product
 
 EPS = "eps"
 
@@ -140,6 +143,49 @@ class FactoredRatFun:
         )
 
     __hash__ = None
+
+    def expand(self, large, order: int) -> MultiPoly:
+        """This function expanded where the variables in ``large`` are big,
+        exact through the inverse index ``order`` in each of them.  Every
+        factor must be (v + c*eps) with exactly one of v, eps in ``large``:
+
+            (big + small)^-m = big^-m sum_j C(m+j-1, j) (-small/big)^j.
+
+        The result lives over the same variables; its slots in ``large`` hold
+        inverse indices (t stands for var^-t) and the others hold exponents.
+        A factor raises only the index of its big variable, so each product
+        is capped per slot at ``order`` minus the raise still to come there.
+        """
+        large = frozenset(large)
+        inverse = [v in large for v in self.vars]
+        ei = self.vars.index(EPS)
+        steps = []  # (big slot, small slot, big coefficient, small coefficient, m)
+        still = [0] * len(self.vars)
+        for f, mult in self.den.items():
+            if f[0] != "lin":
+                raise AssertionError(f"expansion of an unresolved pole {f}")
+            _, v, c = f
+            vi = self.vars.index(v)
+            if inverse[vi] == inverse[ei]:
+                raise ValueError(f"factor {f}: exactly one of {v}, {EPS} must be large")
+            steps.append((vi, ei, 1, c, mult) if inverse[vi] else (ei, vi, c, 1, mult))
+            still[steps[-1][0]] += mult
+        acc = MultiPoly.from_ints(
+            self.vars, {tuple(-x if inv else x for x, inv in zip(e, inverse)): n
+                        for e, n in self.num.num.items()}, self.num.den, self.laurent | large)
+        for big, small, cb, cs, mult in steps:
+            if not acc:
+                break
+            still[big] -= mult
+            lim = tuple(order - r if inv else float("inf") for r, inv in zip(still, inverse))
+            terms = {}
+            for j in range(lim[big] - mult - min(e[big] for e in acc.num) + 1):
+                e = [0] * len(self.vars)
+                e[big], e[small] = mult + j, j
+                terms[tuple(e)] = comb(mult + j - 1, j) * (-cs) ** j / cb ** (mult + j)
+            series = MultiPoly(self.vars, terms, acc.laurent)
+            acc = acc._wrap(_int_product(acc.num, series.num, lim), acc.den * series.den)
+        return acc
 
     # ----- queries ----------------------------------------------------------
     def eval_numeric(self, ctx, assignment):

@@ -29,6 +29,7 @@ from gwp1.analytic import (
     kernel_D,
     kernel_Dstar,
     kernel_large_order_check,
+    kernel_large_order_coefficients,
     matrix_B,
     precision_log,
     rank_one_residuals,
@@ -175,6 +176,24 @@ class TestKernels:
         pc = PrecisionContext(192)
         resid, bound = kernel_large_order_check(pc, 60, -35, 1, P=4)
         assert resid <= bound
+
+    def test_large_order_coefficients_at_tiny_coupling(self, pc):
+        # c_00 = -s^2 exactly; a loop that stops once s^(2n)/n! is below the
+        # tolerance never reached its first row at this s
+        s = pc.ctx.mpf("1e-20")
+        c00 = kernel_large_order_coefficients(pc, s, 2)[0][0]
+        assert abs(c00 + s**2) <= pc.ctx.mpf(2) ** -100 * s**2
+
+    def test_large_order_rows_end_at_the_total_degree(self):
+        # the n-th kernel term is homogeneous of degree -(n+1) in (a, b), so
+        # its row vanishes at every p + q + 1 < n, and beyond n = 2P + 1
+        P = 3
+        for n in range(1, 2 * P + 6):
+            row = analytic._kernel_large_order_row(n, P)
+            assert any(row[p][q] for p in range(P + 1) for q in range(P + 1)
+                       if p + q + 1 >= n) == (n <= 2 * P + 1)
+            assert all(not row[p][q] for p in range(P + 1) for q in range(P + 1)
+                       if p + q + 1 < n)
 
 
 class TestKPoint:

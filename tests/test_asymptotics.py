@@ -107,7 +107,31 @@ class TestCrossRegime:
         with pytest.raises(AssertionError):
             q0_in_inverse_lam(data, 4)
         with pytest.raises(AssertionError):
-            asymptotics._eps_expand(pole, ("lam1", "lam2", "q"), 1, 2)
+            pole.expand({"eps"}, 2)
+
+    @pytest.mark.parametrize("k,gmax,dmax", [(1, 2, 3), (2, 1, 3), (3, 0, 2)])
+    def test_bridge_fails_on_a_planted_error(self, monkeypatch, k, gmax, dmax):
+        exact = asymptotics.eps0_series_coefficients
+
+        def planted(*args):
+            coeffs = exact(*args)
+            coeffs[min(coeffs)] += 1
+            return coeffs
+
+        monkeypatch.setattr(asymptotics, "eps0_series_coefficients", planted)
+        assert not eps0_q0_bridge(k, gmax, dmax)
+
+    @pytest.mark.parametrize("k,D,lam_order,sha256", [
+        (1, 6, 14, "23d939084140d9e820a804344c73f379cbe55749ab55504cd5e48450917ec7f7"),
+        (2, 3, 8, "c175f357564dc3350b09856f4884d57b060d73caa4fe307be197af28a5b636fd"),
+        (3, 2, 6, "d4f0dd6a6429e8267616c32e882b2d1357c0522b389d4841d9ce239f1c110044"),
+        (4, 2, 6, "42976cb0d64c819e147ebc4ed65c20b39350cc6df04f8ef0c0475e198a546fd1"),
+    ])
+    def test_q0_in_inverse_lam_is_pinned(self, k, D, lam_order, sha256):
+        # terms [t_1..t_k, d, eps power] -> coefficient
+        poly = q0_in_inverse_lam(expand_q0(k, D), lam_order)
+        text = json.dumps(sorted([list(e), str(c)] for e, c in poly.terms.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
     def test_expand_q0_four_point_payload_is_pinned(self):
         text = json.dumps(expand_q0(4, 2).to_json(), sort_keys=True)

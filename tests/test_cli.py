@@ -140,6 +140,32 @@ def test_cache_entry_of_wrong_shape_is_a_miss(runner, tmp_path, stored):
     assert json.loads(entry.read_text())["payload"] == first.rstrip("\n")
 
 
+def test_invariant_at_a_forbidden_degree_reports_that_degree(runner, tmp_path):
+    result = invoke(runner, tmp_path, "invariant", "--k", "1", "--i", "0", "--g", "0",
+                    "--d", "2")
+    data = json.loads(result.output)
+    assert result.exit_code == 0
+    assert data["structural_zero"] is True and data["value"] == "0" and data["d"] == 2
+
+
+def test_unwritable_cache_dir_exit_code(runner, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache_dir = str(blocker / "sub")
+    result = runner.invoke(main, ["--cache-dir", cache_dir, "invariant", "--k", "1",
+                                  "--i", "0", "--g", "0"])
+    assert result.exit_code == 2
+    assert result.output.count("\n") == 1 and cache_dir in result.output
+
+
+def test_unwritable_output_file_exit_code(runner, tmp_path):
+    out = str(tmp_path / "missing" / "dir" / "out.json")
+    result = runner.invoke(main, ["--no-cache", "--output", out, "invariant", "--k", "1",
+                                  "--i", "0", "--g", "0"])
+    assert result.exit_code == 2
+    assert result.output.count("\n") == 1 and out in result.output
+
+
 def test_changed_sources_give_a_new_cache_key(monkeypatch):
     params = {"k": 1, "insertions": [0], "g": 0, "m": 0, "d": None}
     key = cli._cache_key("invariant", params)

@@ -234,6 +234,11 @@ class TestExtraction:
         r = extract_invariant(CorrelatorKey(k=2, insertions=(0, 1), g=0))
         assert r.structural_zero and r.value == 0
 
+    def test_structural_zero_reports_the_declared_degree(self):
+        # <tau_0> is 1 at degree 1, so (d=1, value 0) would be a wrong pair
+        r = extract_invariant(CorrelatorKey(k=1, insertions=(0,), g=0, d=2))
+        assert r.structural_zero and r.value == 0 and r.d == 2
+
     def test_permutation_symmetry_spot(self):
         a = extract_invariant(CorrelatorKey(k=3, insertions=(0, 2, 4), g=0))
         b = extract_invariant(CorrelatorKey(k=3, insertions=(4, 0, 2), g=0))

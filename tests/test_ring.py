@@ -345,6 +345,57 @@ def test_ratfun_sums_and_products_keep_their_factors():
     assert not (total == product)
 
 
+def _expand_reference(num, factors, vars_, large, order):
+    """Fraction-dict expansion of num / prod (v + c eps)^m, one factor at a
+    time, each geometric series taken deep; a factor only raises indices, so
+    terms past ``order`` in a slot of ``large`` (which hold inverse indices)
+    are dropped as they appear."""
+    inverse = [v in large for v in vars_]
+    ei = vars_.index("eps")
+    depth = order + 4
+    acc = {tuple(-x if inv else x for x, inv in zip(e, inverse)): c for e, c in num.items()}
+    for (v, c), mult in factors.items():
+        vi = vars_.index(v)
+        # (lam + c eps)^-1 = lam^-1 sum_j (-c eps/lam)^j, or
+        # (c eps + lam)^-1 = (c eps)^-1 sum_j (-lam/(c eps))^j
+        big, small, lead, ratio = (vi, ei, 1, -c) if v in large else (ei, vi, 1 / c, -1 / c)
+        for _ in range(mult):
+            nxt = {}
+            for e, a in acc.items():
+                for j in range(depth):
+                    f = list(e)
+                    f[big] += 1 + j
+                    f[small] += j
+                    if f[big] <= order:
+                        nxt[tuple(f)] = nxt.get(tuple(f), 0) + a * lead * ratio**j
+            acc = nxt
+    return {e: c for e, c in acc.items()
+            if c and all(x <= order for x, inv in zip(e, inverse) if inv)}
+
+
+@pytest.mark.parametrize("large,orders", [(("lam1", "lam2"), (3, 7)), (("eps",), (8, 11))])
+def test_ratfun_expand_matches_the_fraction_reference(large, orders):
+    vars_ = ("lam1", "lam2", "eps")
+    num = {(2, 0, 0): Fraction(1), (0, 1, 1): Fraction(3), (0, 0, 2): Fraction(-1, 2),
+           (0, 0, 0): Fraction(5, 3)}
+    factors = {("lam1", Fraction(-3, 2)): 2, ("lam2", Fraction(1, 2)): 1,
+               ("lam1", Fraction(5, 2)): 1, ("lam2", Fraction(-7, 2)): 3}
+    fr = FactoredRatFun(MultiPoly(vars_, num, ("eps",)),
+                        Counter({lam_eps_factor(v, c): m for (v, c), m in factors.items()}))
+    for order in orders:
+        want = _expand_reference(num, factors, vars_, large, order)
+        got = fr.expand(large, order)
+        assert want and got.vars == vars_ and got.terms == want
+
+
+def test_ratfun_expand_needs_one_large_term_per_factor():
+    vars_ = ("lam1", "lam2", "eps")
+    fr = FactoredRatFun(MultiPoly.const(vars_, 1), Counter([lam_eps_factor("lam2", 1)]))
+    for large in (("lam1",), ("lam2", "eps")):
+        with pytest.raises(ValueError):
+            fr.expand(large, 4)
+
+
 def test_mat2_cayley_hamilton():
     a = MultiPoly.variable(("x", "y"), "x")
     b = MultiPoly.variable(("x", "y"), "y")
