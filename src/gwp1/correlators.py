@@ -417,8 +417,9 @@ class CorrelatorKey:
     def __post_init__(self):
         if self.k < 1 or self.k != len(self.insertions):
             raise ValueError("k must equal the number of insertions and be >= 1")
-        if any(i < 0 for i in self.insertions) or self.g < 0 or self.m < 0:
-            raise ValueError("insertions, genus and m must be non-negative")
+        if (any(i < 0 for i in self.insertions) or self.g < 0 or self.m < 0
+                or (self.d is not None and self.d < 0)):
+            raise ValueError("insertions, genus, m and degree must be non-negative")
 
     def forced_degree(self) -> int | None:
         """Degree forced by dimension matching, or None when no degree exists."""

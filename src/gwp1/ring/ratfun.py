@@ -160,7 +160,7 @@ class FactoredRatFun:
         inverse = [v in large for v in self.vars]
         ei = self.vars.index(EPS)
         steps = []  # (big slot, small slot, big coefficient, small coefficient, m)
-        still = [0] * len(self.vars)
+        still = [0] * len(self.vars)  # per slot, the raise of the steps not yet taken
         for f, mult in self.den.items():
             if f[0] != "lin":
                 raise AssertionError(f"expansion of an unresolved pole {f}")

@@ -191,6 +191,8 @@ class TestCorrelatorKey:
             CorrelatorKey(k=2, insertions=(1,), g=0)
         with pytest.raises(ValueError):
             CorrelatorKey(k=1, insertions=(-1,), g=0)
+        with pytest.raises(ValueError):
+            CorrelatorKey(k=1, insertions=(0,), g=0, d=-1)
 
     @pytest.mark.parametrize("ins,g,m,d", [
         ((0,), 0, 0, 1),
