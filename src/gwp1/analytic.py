@@ -563,6 +563,8 @@ def kernel_Dstar(pc: PrecisionContext, a, b, s):
     a = pc.mpc(a)
     b = pc.mpc(b)
     s = pc.mpc(s)
+    if a == b:
+        raise ValueError("the rescaled kernel needs a != b (diagonal handled by h_1_star)")
     vma = v_vector(pc, -a, s)
     vb = v_vector(pc, b, s)
     return (vma[0] * vb[0] + vma[1] * vb[1]) / (a - b)

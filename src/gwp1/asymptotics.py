@@ -30,6 +30,17 @@ from gwp1.ring.ratfun import FactoredRatFun, diff_factor, lam_eps_factor
 
 EPS = "eps"
 
+# Sample points of the numeric regime checks: the lam_i of the eps0 and qinf
+# checks (k <= 3), the eps of eps0 at q = 1, the q of qinf at an eps that
+# phase-locks its oscillatory factors, and the Debye orders nu at zeta.
+SAMPLE_LAMS = (5, 7, 9)
+EPS0_Q = 1
+EPS0_EPS = (mpmath.mpf(1) / 8, mpmath.mpf(1) / 16, mpmath.mpf(1) / 32)
+QINF_EPS = 400 / (6 * mpmath.pi)
+QINF_Q = (10**4, 4 * 10**4)
+DEBYE_NU = (40, 80)
+DEBYE_ZETA = 0.6
+
 
 # ---------------------------------------------------------------------------
 # table loading
@@ -60,13 +71,17 @@ def load_table(name: str) -> dict:
     return data
 
 
+class NoTableEntry(LookupError):
+    """A request past the last entry a regime table holds."""
+
+
 def _table_entry(table: str, k: int, index: str, value: int) -> dict:
     """The entry of ``<table>_table.json`` for k whose ``index`` ("g" or
     "d") is ``value``."""
     for e in load_table(f"{table}_table.json")["entries"]:
         if e["k"] == k and e[index] == value:
             return e
-    raise KeyError(f"no {table} table entry for k={k}, {index}={value}")
+    raise NoTableEntry(f"no {table} table entry for k={k}, {index}={value}")
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +398,37 @@ def onepoint_oracle_match(data: RegimeExpansion) -> dict:
             for d in range(1, data.order + 1)}
 
 
+def table_match(name: str, k: int, order: int):
+    """The exact regime ``name`` ("q0" for d <= order, "einf" for g <= order)
+    against the one-point oracle (q0 at k = 1) or the table entries:
+    ``(expansion, field, matches, uncompared)``, with ``field`` the payload
+    name of that route, ``matches`` {str(index): agrees} and ``uncompared``
+    the indices past the table.  Raises ValueError if nothing was compared."""
+    expand, table_entry, index, first = {
+        "q0": (expand_q0, q0_table_entry, "d", 1),
+        "einf": (expand_eps_inf, einf_table_entry, "g", 0),
+    }[name]
+    if name == "q0" and k == 1:
+        data = expand(k, order)
+        field, other, uncompared = "oracle_match", "the one-point oracle", []
+        matches = onepoint_oracle_match(data)
+    else:
+        field, other = "table_match", "the table"
+        targets = {}
+        for i in range(first, order + 1):
+            try:
+                targets[i] = table_entry(k, i)
+            except NoTableEntry:
+                continue
+        data = expand(k, order) if targets else None
+        matches = {str(i): bool(data.coefficient(i) == t) for i, t in targets.items()}
+        uncompared = [i for i in range(first, order + 1) if i not in targets]
+    if not matches:
+        raise ValueError(f"nothing to compare: {other} has no {name} entry for k={k} and "
+                         f"{first} <= {index} <= {order}")
+    return data, field, matches, uncompared
+
+
 def eps0_q0_bridge(k: int, g_max: int, d_max: int) -> bool:
     """Exact bridge between the small-eps closed forms and the small-q data:
 
@@ -516,12 +562,12 @@ def verify_q_inf(k: int, d_max: int, lams, eps, q_list) -> RegimeReport:
     """Measure the residual decay order of the large-q expansion after
     subtracting every tabulated term with q power >= -d_max/2; the measured
     order must match the predicted one within a relative tolerance of 0.30.
-    Raises KeyError when d_max lies past the last tabulated d for k."""
+    Raises NoTableEntry when d_max lies past the last tabulated d for k."""
     tolerance = 0.30
     lams = list(lams)[:k]
     entries = _qinf_entries(k)
     if d_max > max((e["d"] for e in entries), default=-1):
-        raise KeyError(f"no qinf table entry for k={k}, d={d_max}")
+        raise NoTableEntry(f"no qinf table entry for k={k}, d={d_max}")
     remainders = []
     pc = PrecisionContext()
     ctx = pc.ctx

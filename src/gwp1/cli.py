@@ -1,13 +1,22 @@
 """Command-line surface: computation dispatch, persistence and caching.
 
-Exit codes: 0 success, 2 validation error (a pole of a series included), a
-precision beyond the working cap (``analytic.PrecisionCapError``: the
-requested bits plus the bits lost to cancellation exceed
-``analytic.MAX_WORKING_BITS``) or a cache entry or ``--output`` file that
-cannot be written, 3 numerical route disagreement, 4
-insufficient series order.  Results are emitted as
-deterministic JSON (sorted keys, decimal-string numbers) or flat CSV for
-coefficient tables.
+Exit codes come from one table, ``EXIT_CODES``, that the command group
+applies to the library's exceptions: it prints the message as one line on
+stderr and exits with the code of the most specific class listed.
+
+* 0 success;
+* 2 ``ValueError`` (bad input, a pole of a series, a cache entry or
+  ``--output`` file that cannot be written), ``SeriesDivergenceError``,
+  ``PrecisionCapError`` (the requested bits plus the bits lost to
+  cancellation exceed ``analytic.MAX_WORKING_BITS``) and
+  ``asymptotics.NoTableEntry`` (a regime request past its table);
+* 3 ``RouteDisagreement``: two routes, a cached payload and its recomputation,
+  or a regime check disagree;
+* 4 ``InsufficientOrderError``: insufficient series order.
+
+Any other exception is a fault of the program and propagates.  Results are
+emitted as deterministic JSON (sorted keys, decimal-string numbers) or flat
+CSV for coefficient tables.
 """
 
 from __future__ import annotations
@@ -22,16 +31,21 @@ import time
 from functools import lru_cache
 
 import click
-import mpmath
 
 import gwp1
 from gwp1 import analytic, asymptotics, correlators, resolvent
-from gwp1.analytic import PrecisionCapError, PrecisionContext, RouteDisagreement
+from gwp1.analytic import (PrecisionCapError, PrecisionContext, RouteDisagreement,
+                           SeriesDivergenceError)
 from gwp1.correlators import CorrelatorKey, InsufficientOrderError
 
-EXIT_VALIDATION = 2
-EXIT_ROUTE_DISAGREEMENT = 3
-EXIT_INSUFFICIENT_ORDER = 4
+EXIT_CODES = {
+    InsufficientOrderError: 4,
+    RouteDisagreement: 3,
+    ValueError: 2,
+    SeriesDivergenceError: 2,
+    PrecisionCapError: 2,
+    asymptotics.NoTableEntry: 2,
+}
 
 CACHE_ENV = "GWP1_CACHE_DIR"
 
@@ -81,11 +95,6 @@ def _cache_read(cache_dir: str, key: str):
     return entry["payload"]
 
 
-def _write_failed(what: str, path: str, exc: OSError):
-    click.echo(f"cannot write {what} {path}: {exc.strerror or exc}", err=True)
-    sys.exit(EXIT_VALIDATION)
-
-
 def _cache_write(cache_dir: str, key: str, payload: str):
     entry = {"key": key, "created_at": time.time(), "payload": payload}
     tmp = None
@@ -96,7 +105,8 @@ def _cache_write(cache_dir: str, key: str, payload: str):
             json.dump(entry, fh)
         os.replace(tmp, os.path.join(cache_dir, key + ".json"))
     except OSError as exc:
-        _write_failed("the cache entry under", cache_dir, exc)
+        raise ValueError(f"cannot write the cache entry under {cache_dir}: "
+                         f"{exc.strerror or exc}") from exc
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
@@ -109,7 +119,7 @@ def _emit(ctx_obj, payload: str):
             with open(out, "w") as fh:
                 fh.write(payload)
         except OSError as exc:
-            _write_failed("the output file", out, exc)
+            raise ValueError(f"cannot write the output file {out}: {exc.strerror or exc}") from exc
     else:
         click.echo(payload, nl=False)
         if not payload.endswith("\n"):
@@ -132,8 +142,7 @@ def _run_cached(ctx, command: str, params: dict, compute):
         return
     payload = compute()
     if obj["verify_cache"] and cached is not None and cached != payload:
-        click.echo("cache verification failed: stored payload differs", err=True)
-        sys.exit(EXIT_ROUTE_DISAGREEMENT)
+        raise RouteDisagreement("cache verification failed: stored payload differs")
     if use_cache:
         _cache_write(cache_dir, key, payload)
     _emit(obj, payload)
@@ -148,7 +157,20 @@ def _csv_from_series(series_json: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group; its ``invoke`` is the one place that turns an
+    exception of ``EXIT_CODES`` into its exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(EXIT_CODES) as exc:
+            click.echo(str(exc), err=True)
+            raise SystemExit(next(EXIT_CODES[c] for c in type(exc).__mro__
+                                  if c in EXIT_CODES))
+
+
+@click.group(cls=_Group)
 @click.option("--precision-bits", type=int, default=128, show_default=True,
               help="working precision for numeric commands (>= 53)")
 @click.option("--cache-dir", type=click.Path(), default=None,
@@ -164,8 +186,7 @@ def main(ctx, precision_bits, cache_dir, no_cache, verify_cache, output, fmt):
     """Exact and arbitrary-precision computation of stationary sphere
     invariants and their analytic counterparts."""
     if precision_bits < 53:
-        click.echo("precision must be at least 53 bits", err=True)
-        sys.exit(EXIT_VALIDATION)
+        raise ValueError("precision must be at least 53 bits")
     ctx.ensure_object(dict)
     ctx.obj.update(
         precision_bits=precision_bits,
@@ -185,15 +206,13 @@ def main(ctx, precision_bits, cache_dir, no_cache, verify_cache, output, fmt):
 def resolvent_cmd(ctx, route, order):
     """Matrix resolvent series by either exact route (or their comparison)."""
     if order < 1:
-        click.echo("order must be >= 1", err=True)
-        sys.exit(EXIT_VALIDATION)
+        raise ValueError("order must be >= 1")
 
     def compute():
         if route == "both":
             report = resolvent.cross_check_routes(order)
             if not report.ok:
-                click.echo(f"route disagreement: {report.detail}", err=True)
-                sys.exit(EXIT_ROUTE_DISAGREEMENT)
+                raise RouteDisagreement(f"route disagreement: {report.detail}")
             return _dumps(report.to_json())
         if route == "recursion":
             data = resolvent.recursion_resolvent(order).to_json("recursion")
@@ -211,25 +230,13 @@ def resolvent_cmd(ctx, route, order):
 @click.pass_context
 def correlator_cmd(ctx, k, orders, region):
     """Multi-point generating series through the given inverse orders."""
-    try:
-        orders_t = tuple(int(x) for x in orders.split(","))
-        region_t = tuple(int(x) for x in region.split(",")) if region else None
-        if k < 2:
-            raise ValueError("k must be >= 2")
-    except ValueError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_VALIDATION)
+    orders_t = tuple(int(x) for x in orders.split(","))
+    region_t = tuple(int(x) for x in region.split(",")) if region else None
+    if k < 2:
+        raise ValueError("k must be >= 2")
 
     def compute():
-        try:
-            fk = correlators.f_k_series(k, orders_t, region_t)
-        except InsufficientOrderError as exc:
-            click.echo(str(exc), err=True)
-            sys.exit(EXIT_INSUFFICIENT_ORDER)
-        except ValueError as exc:
-            click.echo(str(exc), err=True)
-            sys.exit(EXIT_VALIDATION)
-        data = fk.to_json()
+        data = correlators.f_k_series(k, orders_t, region_t).to_json()
         if ctx.obj["fmt"] == "csv":
             return _csv_from_series(data["series"])
         return _dumps(data)
@@ -249,20 +256,11 @@ def correlator_cmd(ctx, k, orders, region):
 @click.pass_context
 def invariant_cmd(ctx, k, insertions, g, m, d):
     """One stationary invariant, exact."""
-    try:
-        ins = tuple(int(x) for x in insertions.split(","))
-        key = CorrelatorKey(k=k, insertions=ins, g=g, m=m, d=d)
-    except ValueError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_VALIDATION)
+    ins = tuple(int(x) for x in insertions.split(","))
+    key = CorrelatorKey(k=k, insertions=ins, g=g, m=m, d=d)
 
     def compute():
-        try:
-            result = correlators.extract_invariant(key)
-        except InsufficientOrderError as exc:
-            click.echo(str(exc), err=True)
-            sys.exit(EXIT_INSUFFICIENT_ORDER)
-        return _dumps(result.to_json())
+        return _dumps(correlators.extract_invariant(key).to_json())
 
     _run_cached(ctx, "invariant",
                 {"k": k, "insertions": list(ins), "g": g, "m": m, "d": d}, compute)
@@ -276,16 +274,14 @@ def invariant_cmd(ctx, k, insertions, g, m, d):
 def one_point_cmd(ctx, order, route):
     """One-point series by the production formula or its oracle."""
     if order < 2:
-        click.echo("order must be >= 2", err=True)
-        sys.exit(EXIT_VALIDATION)
+        raise ValueError("order must be >= 2")
 
     def compute():
         if route == "both":
             a = correlators.one_point_series(order)
             b = correlators.one_point_series_oracle(order)
             if a != b:
-                click.echo("one-point routes disagree", err=True)
-                sys.exit(EXIT_ROUTE_DISAGREEMENT)
+                raise RouteDisagreement("one-point routes disagree")
             data = {"routes_agree": True, "series": a.to_json()}
         elif route == "oracle":
             data = {"series": correlators.one_point_series_oracle(order).to_json()}
@@ -338,11 +334,9 @@ def eval_cmd(ctx, op, args_, route):
     fewest, most = EVAL_ARITY[op]
     if len(texts) < fewest or (most is not None and len(texts) > most):
         want = f"{fewest}" if fewest == most else f"at least {fewest}"
-        click.echo(f"bad arguments: {op} takes {want} arguments, got {len(texts)}", err=True)
-        sys.exit(EXIT_VALIDATION)
+        raise ValueError(f"bad arguments: {op} takes {want} arguments, got {len(texts)}")
     if route is not None and op not in ("D", "Hk"):
-        click.echo(f"bad arguments: --route applies to D and Hk only, not {op}", err=True)
-        sys.exit(EXIT_VALIDATION)
+        raise ValueError(f"bad arguments: --route applies to D and Hk only, not {op}")
 
     def compute():
         pc = PrecisionContext(ctx.obj["precision_bits"])
@@ -351,39 +345,31 @@ def eval_cmd(ctx, op, args_, route):
         try:
             vals = [_parse_complex(cx, v) for v in texts]
         except (TypeError, ValueError) as exc:
-            click.echo(f"bad arguments: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
+            raise ValueError(f"bad arguments: {exc}") from exc
         diagnostics = {}
         err_bound = None
-        try:
-            with analytic.precision_log() as log:
-                if op in ("G", "Gt", "j", "H1", "J"):
-                    fn = {"G": analytic.hyper_G, "Gt": analytic.hyper_Gt,
-                          "j": analytic.bessel_j_mod, "H1": analytic.h_1,
-                          "J": analytic.bessel_J}[op]
-                    value, err_bound = fn(pc, *vals)
-                elif op == "B":
-                    B = analytic.matrix_B(pc, *vals)
-                    diagnostics["det"] = cx.nstr(abs(B.det()), 8)
-                    diagnostics["entries"] = [
-                        {"re": cx.nstr(e.real, digits), "im": cx.nstr(e.imag, digits)}
-                        for e in B.entries()
-                    ]
-                    value = B.trace()
-                elif op == "D":
-                    value = analytic.kernel_D(pc, *vals, route=route or "both")
-                elif op == "Dstar":
-                    value = analytic.kernel_Dstar(pc, *vals)
-                elif op == "H1star":
-                    value = analytic.h_1_star(pc, *vals)
-                else:  # Hk
-                    value = analytic.h_k(pc, vals[:-1], vals[-1], route=route or "trace")
-        except RouteDisagreement as exc:
-            click.echo(str(exc), err=True)
-            sys.exit(EXIT_ROUTE_DISAGREEMENT)
-        except (ValueError, analytic.SeriesDivergenceError, PrecisionCapError) as exc:
-            click.echo(str(exc), err=True)
-            sys.exit(EXIT_VALIDATION)
+        with analytic.precision_log() as log:
+            if op in ("G", "Gt", "j", "H1", "J"):
+                fn = {"G": analytic.hyper_G, "Gt": analytic.hyper_Gt,
+                      "j": analytic.bessel_j_mod, "H1": analytic.h_1,
+                      "J": analytic.bessel_J}[op]
+                value, err_bound = fn(pc, *vals)
+            elif op == "B":
+                B = analytic.matrix_B(pc, *vals)
+                diagnostics["det"] = cx.nstr(abs(B.det()), 8)
+                diagnostics["entries"] = [
+                    {"re": cx.nstr(e.real, digits), "im": cx.nstr(e.imag, digits)}
+                    for e in B.entries()
+                ]
+                value = B.trace()
+            elif op == "D":
+                value = analytic.kernel_D(pc, *vals, route=route or "both")
+            elif op == "Dstar":
+                value = analytic.kernel_Dstar(pc, *vals)
+            elif op == "H1star":
+                value = analytic.h_1_star(pc, *vals)
+            else:  # Hk
+                value = analytic.h_k(pc, vals[:-1], vals[-1], route=route or "trace")
         value = cx.mpc(value)
         return _dumps({
             "op": op,
@@ -414,68 +400,35 @@ def regime_cmd(ctx, name, k, dmax, gmax):
     """Asymptotic-regime coefficients (exact regimes) or verification
     reports (numeric regimes), checked against the table files."""
     if k < 1 or dmax < 0 or gmax < 0:
-        click.echo("k >= 1, dmax >= 0, gmax >= 0 required", err=True)
-        sys.exit(EXIT_VALIDATION)
-    lams = [5, 7, 9]
+        raise ValueError("k >= 1, dmax >= 0, gmax >= 0 required")
+    lams = asymptotics.SAMPLE_LAMS
     if name in ("eps0", "qinf") and k > len(lams):
-        click.echo(f"{name} is checked at lam = 5, 7, 9: k <= 3 required", err=True)
-        sys.exit(EXIT_VALIDATION)
+        raise ValueError(f"{name} is checked at lam = {', '.join(map(str, lams))}: "
+                         f"k <= {len(lams)} required")
 
     def compute():
         if name in ("q0", "einf"):
-            # the q0 table starts at d = 1 and has no k = 1 entries (the
-            # one-point coefficients are checked against their oracle); the
-            # einf table starts at g = 0
-            expand, table_entry, index, order, first = {
-                "q0": (asymptotics.expand_q0, asymptotics.q0_table_entry, "d", dmax, 1),
-                "einf": (asymptotics.expand_eps_inf, asymptotics.einf_table_entry, "g", gmax, 0),
-            }[name]
-            if name == "q0" and k == 1:
-                data = expand(k, order)
-                field, other = "oracle_match", "the one-point oracle"
-                matches = asymptotics.onepoint_oracle_match(data)
-                uncompared = []
-            else:
-                field, other = "table_match", "the table"
-                targets = {}
-                for i in range(first, order + 1):
-                    try:
-                        targets[i] = table_entry(k, i)
-                    except KeyError:
-                        continue
-                data = expand(k, order) if targets else None
-                matches = {str(i): bool(data.coefficient(i) == t) for i, t in targets.items()}
-                uncompared = [i for i in range(first, order + 1) if i not in targets]
-            if not matches:
-                click.echo(f"nothing to compare: {other} has no {name} entry for k={k} and "
-                           f"{first} <= {index} <= {order}", err=True)
-                sys.exit(EXIT_VALIDATION)
+            data, field, matches, uncompared = asymptotics.table_match(
+                name, k, dmax if name == "q0" else gmax)
             if not all(matches.values()):
-                click.echo(f"derived coefficients disagree with {other}", err=True)
-                sys.exit(EXIT_ROUTE_DISAGREEMENT)
+                other = "the table" if field == "table_match" else "the one-point oracle"
+                raise RouteDisagreement(f"derived coefficients disagree with {other}")
             payload = data.to_json()
             payload[field] = matches
             payload["pass"] = True
             if uncompared:  # indices past the table: derived, but checked by no route
                 payload["uncompared"] = uncompared
             return _dumps(payload)
-        F = mpmath.mpf
         if name == "debye":
-            rep = asymptotics.debye_check([40, 80], 0.6)
+            rep = asymptotics.debye_check(asymptotics.DEBYE_NU, asymptotics.DEBYE_ZETA)
+        elif name == "eps0":
+            rep = asymptotics.verify_eps0(k, gmax, lams[:k], asymptotics.EPS0_Q,
+                                          asymptotics.EPS0_EPS)
         else:
-            try:
-                if name == "eps0":
-                    rep = asymptotics.verify_eps0(k, gmax, lams[:k], 1,
-                                                  [F(1) / 8, F(1) / 16, F(1) / 32])
-                else:
-                    rep = asymptotics.verify_q_inf(k, dmax, lams[:k], 400 / (6 * mpmath.pi),
-                                                   [10**4, 4 * 10**4])
-            except KeyError as exc:  # past the table: no entry for a g <= gmax or for dmax
-                click.echo(exc.args[0], err=True)
-                sys.exit(EXIT_VALIDATION)
+            rep = asymptotics.verify_q_inf(k, dmax, lams[:k], asymptotics.QINF_EPS,
+                                           asymptotics.QINF_Q)
         if not rep.passed:
-            click.echo(f"regime verification failed: {rep.to_json()}", err=True)
-            sys.exit(EXIT_ROUTE_DISAGREEMENT)
+            raise RouteDisagreement(f"regime verification failed: {rep.to_json()}")
         return _dumps(rep.to_json())
 
     _run_cached(ctx, "regime", {"name": name, "k": k, "dmax": dmax, "gmax": gmax}, compute)
@@ -494,12 +447,12 @@ def selftest_cmd(ctx, level):
     try:
         results = acceptance.run_all(level, echo=lambda line: click.echo(line, err=True))
     except TableEntryError as exc:
-        click.echo(f"table data error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
+        raise ValueError(f"table data error: {exc}") from exc
     report = _dumps({"level": level, "results": [r.to_json() for r in results]})
     _emit(ctx.obj, report)
-    if not all(r.passed for r in results):
-        sys.exit(EXIT_ROUTE_DISAGREEMENT)
+    failed = sum(not r.passed for r in results)
+    if failed:
+        raise RouteDisagreement(f"selftest: {failed} of {len(results)} checks failed")
 
 
 if __name__ == "__main__":

@@ -171,6 +171,8 @@ class TestKernels:
     def test_diagonal_needs_one_point(self, pc):
         with pytest.raises(ValueError):
             kernel_D(pc, 0.4, 0.4, 1, route="both")
+        with pytest.raises(ValueError, match="a != b"):
+            kernel_Dstar(pc, 0.4, 0.4, 1)
 
     def test_large_order_expansion(self):
         pc = PrecisionContext(192)

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from click.testing import CliRunner
 
-from gwp1 import cli
+from gwp1 import cli, correlators
 from gwp1.cli import main
 
 
@@ -340,3 +340,79 @@ def test_series_payloads_are_pinned(runner, tmp_path, args, sha256):
     result = invoke(runner, tmp_path, "--no-cache", *args)
     assert result.exit_code == 0
     assert hashlib.sha256(result.output.encode()).hexdigest() == sha256
+
+
+def assert_one_line_exit(result, code):
+    assert result.exit_code == code
+    assert result.stdout == "" and result.stderr.count("\n") == 1
+
+
+def test_eval_rescaled_kernel_at_coincident_points_exit_code(runner, tmp_path):
+    # the rescaled kernel divided by a - b = 0: a ZeroDivisionError traceback before
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path), "eval", "--op", "Dstar",
+                                  "--args", "0.3;0.3;1"])
+    assert_one_line_exit(result, 2)
+    assert "a != b" in result.stderr
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_insufficient_order_exit_code(runner, tmp_path, monkeypatch):
+    def short(key):
+        raise correlators.InsufficientOrderError("order 3 needed, 2 computed")
+
+    monkeypatch.setattr(correlators, "extract_invariant", short)
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path), "invariant", "--k", "1",
+                                  "--i", "0", "--g", "0"])
+    assert_one_line_exit(result, 4)
+    assert result.stderr == "order 3 needed, 2 computed\n"
+
+
+def test_verify_cache_against_an_edited_payload_exit_code(runner, tmp_path):
+    args = ["invariant", "--k", "1", "--i", "0", "--g", "0"]
+    invoke(runner, tmp_path, *args)
+    (entry,) = tmp_path.glob("*.json")
+    stored = json.loads(entry.read_text())
+    stored["payload"] = stored["payload"].replace('"value": "1"', '"value": "2"')
+    entry.write_text(json.dumps(stored))
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path), "--verify-cache", *args])
+    assert_one_line_exit(result, 3)
+    assert "cache verification failed" in result.stderr
+
+
+def test_one_point_routes_disagree_exit_code(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(correlators, "one_point_series_oracle",
+                        lambda order: correlators.one_point_series(order + 1))
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path), "one-point", "--order", "4",
+                                  "--route", "both"])
+    assert_one_line_exit(result, 3)
+    assert result.stderr == "one-point routes disagree\n"
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_regime_past_the_table_exit_code(runner, tmp_path):
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path), "regime", "--name", "eps0",
+                                  "--k", "2", "--gmax", "2"])
+    assert_one_line_exit(result, 2)
+    assert result.stderr == "no eps0 table entry for k=2, g=2\n"
+
+
+@pytest.mark.parametrize("fault", [KeyError, AssertionError])
+def test_a_fault_inside_a_command_propagates(runner, tmp_path, monkeypatch, fault):
+    def broken(key):
+        raise fault("not bad input")
+
+    monkeypatch.setattr(correlators, "extract_invariant", broken)
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path), "invariant", "--k", "1",
+                                  "--i", "0", "--g", "0"])
+    assert result.exit_code == 1 and isinstance(result.exception, fault)
+
+
+def test_failed_selftest_exit_code(runner, tmp_path, monkeypatch):
+    from gwp1 import acceptance
+
+    monkeypatch.setattr(acceptance, "run_all",
+                        lambda level, echo: [acceptance.CriterionResult("x", False, 0.0)])
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path), "selftest"])
+    assert result.exit_code == 3
+    assert json.loads(result.stdout)["results"][0]["pass"] is False
+    assert result.stderr == "selftest: 1 of 1 checks failed\n"
