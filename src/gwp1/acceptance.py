@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-import mpmath
-
 from gwp1 import analytic, asymptotics, correlators, resolvent
 from gwp1.analytic import PrecisionContext
 from gwp1.correlators import CorrelatorKey
@@ -228,8 +226,7 @@ def criterion_7():
 def criterion_8():
     checks = []
     for k, gmax in ((1, 2), (2, 1), (3, 0)):
-        rep = asymptotics.verify_eps0(k, gmax, asymptotics.SAMPLE_LAMS[:k], asymptotics.EPS0_Q,
-                                      asymptotics.EPS0_EPS)
+        rep = asymptotics.numeric_check("eps0", k, gmax)
         checks.append((f"k={k} measured {rep.measured_order:.3f} vs {rep.expected_order}",
                        rep.passed))
     return all(c[1] for c in checks), "", checks
@@ -239,8 +236,7 @@ def criterion_8():
 def criterion_9():
     checks = []
     for k in (1, 2):
-        rep = asymptotics.verify_q_inf(k, 3, asymptotics.SAMPLE_LAMS[:k], asymptotics.QINF_EPS,
-                                       asymptotics.QINF_Q)
+        rep = asymptotics.numeric_check("qinf", k, 3)
         checks.append((f"k={k} measured {rep.measured_order:.3f} vs {rep.expected_order}",
                        rep.passed))
     return all(c[1] for c in checks), "", checks
@@ -248,11 +244,9 @@ def criterion_9():
 
 @_criterion("10 Bessel large-order residual scales as nu^-3 within 30%")
 def criterion_10():
-    rep = asymptotics.debye_check(asymptotics.DEBYE_NU, asymptotics.DEBYE_ZETA)
-    ratio = mpmath.mpf(rep.detail["residuals"][0]) / mpmath.mpf(rep.detail["residuals"][1])
-    ok = abs(ratio / 8 - 1) < 0.3
-    return ok and rep.passed, f"residual ratio {float(ratio):.2f} ~ 8", [
-        ("nu^-3 scaling", ok)]
+    rep = asymptotics.numeric_check("debye", 1, 3)
+    return rep.passed, f"measured {rep.measured_order:.3f} vs {rep.expected_order}", [
+        ("nu^-3 scaling", rep.passed)]
 
 
 # --- criterion 11: invariant properties ---------------------------------------

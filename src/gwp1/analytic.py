@@ -257,9 +257,13 @@ def _rounded(pc: PrecisionContext, value, err):
 
 
 def _check_not_half_integer(z, margin=SINGULARITY_MARGIN):
-    zc = complex(z)
-    nearest = round(zc.real - 0.5) + 0.5
-    if abs(zc - nearest) < margin:
+    """Reject z within ``margin`` of the half-integer lattice.  The offset
+    frac(Re z) - 1/2 from the nearest lattice point is exact in the context
+    of z (mpmath's default one for a Python number); binary64 rounds the
+    fractional part away once |Re z| is large."""
+    ctx = getattr(z, "context", mpmath.mp)
+    w = ctx.convert(z)
+    if abs(ctx.mpc(ctx.frac(ctx.re(w)) - 0.5, ctx.im(w))) < margin:
         raise ValueError(f"z = {z} is within {margin} of the half-integer lattice")
 
 

@@ -30,9 +30,10 @@ from gwp1.ring.ratfun import FactoredRatFun, diff_factor, lam_eps_factor
 
 EPS = "eps"
 
-# Sample points of the numeric regime checks: the lam_i of the eps0 and qinf
-# checks (k <= 3), the eps of eps0 at q = 1, the q of qinf at an eps that
-# phase-locks its oscillatory factors, and the Debye orders nu at zeta.
+# Sample points of the numeric regime checks, read by numeric_check only: the
+# lam_i of the eps0 and qinf checks (k <= 3), the eps of eps0 at q = 1, the q
+# of qinf at an eps that phase-locks its oscillatory factors, and the Debye
+# orders nu at zeta.
 SAMPLE_LAMS = (5, 7, 9)
 EPS0_Q = 1
 EPS0_EPS = (mpmath.mpf(1) / 8, mpmath.mpf(1) / 16, mpmath.mpf(1) / 32)
@@ -482,6 +483,54 @@ class RegimeReport:
         }
 
 
+def _k_point_value(pc: PrecisionContext, lams, q, eps):
+    """The analytic k-point function at z_i = lam_i/eps, s = sqrt(q)/eps:
+    :func:`analytic.h_1_star` at k = 1, the trace route of
+    :func:`analytic.h_k` otherwise."""
+    ctx = pc.ctx
+    eps = ctx.mpf(eps)
+    zs = [ctx.mpf(lam) / eps for lam in lams]
+    s = ctx.sqrt(ctx.mpf(q)) / eps
+    if len(zs) == 1:
+        return analytic.h_1_star(pc, zs[0], s)
+    return analytic.h_k(pc, zs, s, route="trace")
+
+
+def _decay_report(regime, k, orders_checked, points, residuals, expected, tolerance,
+                  detail_key, on_order=False) -> RegimeReport:
+    """Grade the decay of ``residuals`` across consecutive ``points``.
+
+    For each pair, the step is the larger point over the smaller and the
+    measured order is log(r1/r2) / log(step).  The pair passes when r1/r2 is
+    within ``tolerance`` (relative) of step^expected or, with ``on_order``,
+    when the measured order is within ``tolerance`` (relative) of
+    ``expected``; the report carries the mean measured order."""
+    measured = []
+    ok = True
+    pairs = list(zip(points, residuals))
+    for (p1, r1), (p2, r2) in zip(pairs, pairs[1:]):
+        lo, hi = sorted((mpmath.mpf(p1), mpmath.mpf(p2)))
+        step = hi / lo
+        ratio = r1 / r2
+        order = float(mpmath.log(ratio) / mpmath.log(step))
+        measured.append(order)
+        if on_order:
+            if abs(order / float(expected) - 1) > tolerance:
+                ok = False
+        elif abs(ratio / step ** expected - 1) > tolerance:
+            ok = False
+    return RegimeReport(
+        regime=regime,
+        k=k,
+        orders_checked=tuple(orders_checked),
+        measured_order=float(sum(measured) / len(measured)) if measured else float("nan"),
+        expected_order=float(expected),
+        tolerance=tolerance,
+        passed=ok,
+        detail={detail_key: [str(r) for r in residuals]},
+    )
+
+
 def verify_eps0(k: int, g_max: int, lams, q, eps_list) -> RegimeReport:
     """Measure the remainder order of the small-eps expansion after
     subtracting the tabulated closed forms through genus g_max.
@@ -489,61 +538,30 @@ def verify_eps0(k: int, g_max: int, lams, q, eps_list) -> RegimeReport:
     Requires the region 0 < 2 sqrt(q)/lam_i < 1 with lam_i/eps > 0; the
     remainder between consecutive eps values must scale with the predicted
     next order within a relative tolerance of 0.25."""
-    tolerance = 0.25
-    lams = list(lams)[:k] if k > 1 else [list(lams)[0] if isinstance(lams, (list, tuple)) else lams]
+    lams = list(lams)[:k]
     for lam in lams:
         if not (0 < 2 * mpmath.sqrt(q) / lam < 1):
             raise ValueError(f"lam = {lam} outside the admissible region")
     entries = [(g, _table_entry("eps0", k, "g", g)["tree"]) for g in range(0, g_max + 1)]
-    remainders = []
     pc = PrecisionContext()
     ctx = pc.ctx
+    env = {f"lam{i + 1}": ctx.mpf(lam) for i, lam in enumerate(lams)}
+    env["q"] = ctx.mpf(q)
+    remainders = []
     for eps in eps_list:
-        env = {f"lam{i + 1}": ctx.mpf(l) for i, l in enumerate(lams)}
-        env["q"] = ctx.mpf(q)
         eps_m = ctx.mpf(eps)
-        if k == 1:
-            value = analytic.h_1_star(pc, ctx.mpf(lams[0]) / eps_m, ctx.sqrt(env["q"]) / eps_m)
-            model = ctx.log(ctx.sqrt(env["q"])) - ctx.log(env["lam1"])
-            for g, tree in entries:
-                model += eps_m ** (2 * g) * eval_numeric(tree, ctx, env)
-        else:
-            zs = [ctx.mpf(l) / eps_m for l in lams]
-            value = analytic.h_k(pc, zs, ctx.sqrt(env["q"]) / eps_m, route="trace")
-            model = ctx.mpf(0)
-            for g, tree in entries:
-                model += eps_m ** (2 * g - 2 + 2 * k) * eval_numeric(tree, ctx, env)
-        remainders.append(abs(value - model))
-    expected = 2 * (g_max + 1) if k == 1 else 2 * (g_max + 1) - 2 + 2 * k
-    measured = []
-    ok = True
-    for (e1, r1), (e2, r2) in zip(
-        zip(eps_list, remainders), list(zip(eps_list, remainders))[1:]
-    ):
-        ratio = r1 / r2
-        predicted = (mpmath.mpf(e1) / mpmath.mpf(e2)) ** expected
-        measured.append(float(mpmath.log(ratio) / mpmath.log(mpmath.mpf(e1) / mpmath.mpf(e2))))
-        if abs(ratio / predicted - 1) > tolerance:
-            ok = False
-    return RegimeReport(
-        regime="eps0",
-        k=k,
-        orders_checked=tuple(range(0, g_max + 1)),
-        measured_order=float(sum(measured) / len(measured)) if measured else float("nan"),
-        expected_order=float(expected),
-        tolerance=tolerance,
-        passed=ok,
-        detail={"remainders": [str(r) for r in remainders]},
-    )
+        # sum_g eps^(2g-2+2k) Hk[g], plus log(sqrt(q)/lam) at k = 1
+        model = ctx.log(ctx.sqrt(env["q"])) - ctx.log(env["lam1"]) if k == 1 else ctx.mpf(0)
+        for g, tree in entries:
+            model += eps_m ** (2 * g - 2 + 2 * k) * eval_numeric(tree, ctx, env)
+        remainders.append(abs(_k_point_value(pc, lams, q, eps) - model))
+    return _decay_report("eps0", k, range(0, g_max + 1), eps_list, remainders,
+                         2 * g_max + 2 * k, 0.25, "remainders")
 
 
 # ---------------------------------------------------------------------------
 # numeric verification: q -> infinity
 # ---------------------------------------------------------------------------
-
-
-def _qinf_entries(k: int):
-    return [e for e in load_table("qinf_table.json")["entries"] if e["k"] == k]
 
 
 def _onepoint_drift_coeff(d: int, lam, eps, ctx):
@@ -561,46 +579,37 @@ def _onepoint_drift_coeff(d: int, lam, eps, ctx):
 def verify_q_inf(k: int, d_max: int, lams, eps, q_list) -> RegimeReport:
     """Measure the residual decay order of the large-q expansion after
     subtracting every tabulated term with q power >= -d_max/2; the measured
-    order must match the predicted one within a relative tolerance of 0.30.
+    order must match the predicted one within a relative tolerance of 0.30
+    (the oscillatory regime is graded on the order, not on the ratio).
     Raises NoTableEntry when d_max lies past the last tabulated d for k."""
-    tolerance = 0.30
     lams = list(lams)[:k]
-    entries = _qinf_entries(k)
+    entries = [e for e in load_table("qinf_table.json")["entries"] if e["k"] == k]
     if d_max > max((e["d"] for e in entries), default=-1):
         raise NoTableEntry(f"no qinf table entry for k={k}, d={d_max}")
-    remainders = []
     pc = PrecisionContext()
     ctx = pc.ctx
+    eps_m = ctx.mpf(eps)
+    env = {f"lam{i + 1}": ctx.mpf(lam) for i, lam in enumerate(lams)}
+    env["eps"] = eps_m
+    coswt = ctx.mpf(1)
+    for i, lam in enumerate(lams):
+        env[f"S{i + 1}"] = ctx.sin(ctx.pi * ctx.mpf(lam) / eps_m)
+        env[f"C{i + 1}"] = ctx.cos(ctx.pi * ctx.mpf(lam) / eps_m)
+        coswt *= env[f"C{i + 1}"]
+    remainders = []
     for q in q_list:
-        eps_m = ctx.mpf(eps)
         q_m = ctx.mpf(q)
-        sq_m = ctx.sqrt(q_m)
-        env = {f"lam{i + 1}": ctx.mpf(l) for i, l in enumerate(lams)}
-        env["eps"] = eps_m
-        for i, l in enumerate(lams):
-            env[f"S{i + 1}"] = ctx.sin(ctx.pi * ctx.mpf(l) / eps_m)
-            env[f"C{i + 1}"] = ctx.cos(ctx.pi * ctx.mpf(l) / eps_m)
-        coswt = ctx.mpf(1)
-        for i in range(k):
-            coswt *= env[f"C{i + 1}"]
-        zs = [ctx.mpf(l) / eps_m for l in lams]
-        s_val = sq_m / eps_m
+        model = ctx.mpf(0)
         if k == 1:
-            value = coswt * analytic.h_1_star(pc, zs[0], s_val)
             model = -ctx.pi / 2 * env["S1"]
-            # drift series: q^-(d+1/2) terms
-            d = 0
-            while d + ctx.mpf(1) / 2 <= ctx.mpf(d_max) / 2:
+            # drift series: the q^-(d+1/2) terms with d + 1/2 <= d_max/2
+            for d in range((d_max + 1) // 2):
                 model += (
                     env["S1"]
                     * _onepoint_drift_coeff(d, env["lam1"], eps_m, ctx)
                     / q_m ** (d + ctx.mpf(1) / 2)
                 )
-                d += 1
-        else:
-            value = coswt * analytic.h_k(pc, zs, s_val, route="trace")
-            model = ctx.mpf(0)
-        phase = 4 * sq_m / eps_m
+        phase = 4 * ctx.sqrt(q_m) / eps_m
         for e in entries:
             if e["d"] > d_max:
                 continue
@@ -610,28 +619,9 @@ def verify_q_inf(k: int, d_max: int, lams, eps, q_list) -> RegimeReport:
                 ctx.cos(m * phase) if e["kind"] == "cos" else ctx.sin(m * phase)
             )
             model += q_m ** (-ctx.mpf(e["d"]) / 2) * coeff * osc
-        remainders.append(abs(value - model))
-    expected = mpmath.mpf(d_max + 1) / 2
-    measured = []
-    ok = True
-    pairs = list(zip(q_list, remainders))
-    for (q1, r1), (q2, r2) in zip(pairs, pairs[1:]):
-        ratio = r1 / r2
-        order = float(mpmath.log(ratio) / mpmath.log(mpmath.mpf(q2) / mpmath.mpf(q1)))
-        measured.append(order)
-        # the oscillatory regime is graded on the measured decay ORDER
-        if abs(order / float(expected) - 1) > tolerance:
-            ok = False
-    return RegimeReport(
-        regime="qInf",
-        k=k,
-        orders_checked=tuple(range(0, d_max + 1)),
-        measured_order=float(sum(measured) / len(measured)) if measured else float("nan"),
-        expected_order=float(expected),
-        tolerance=tolerance,
-        passed=ok,
-        detail={"remainders": [str(r) for r in remainders]},
-    )
+        remainders.append(abs(coswt * _k_point_value(pc, lams, q, eps) - model))
+    return _decay_report("qInf", k, range(0, d_max + 1), q_list, remainders,
+                         (d_max + 1) / 2, 0.30, "remainders", on_order=True)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +673,6 @@ def debye_check(nu_list, zeta) -> RegimeReport:
 
     the relative residual, evaluated at 192 bits, must decay like nu^-3
     across the given orders within a relative tolerance of 0.30."""
-    tolerance = 0.30
     if not (0.05 < zeta < 0.95):
         raise ValueError("zeta must lie in (0.05, 0.95)")
     coeffs = DebyeCoefficients.load()
@@ -708,22 +697,24 @@ def debye_check(nu_list, zeta) -> RegimeReport:
             + V
         )
         residuals.append(abs(val / model - 1))
-    measured = []
-    ok = True
-    pairs = list(zip(nu_list, residuals))
-    for (n1, r1), (n2, r2) in zip(pairs, pairs[1:]):
-        ratio = r1 / r2
-        predicted = (mpmath.mpf(n2) / mpmath.mpf(n1)) ** 3
-        measured.append(float(mpmath.log(ratio) / mpmath.log(mpmath.mpf(n2) / mpmath.mpf(n1))))
-        if abs(ratio / predicted - 1) > tolerance:
-            ok = False
-    return RegimeReport(
-        regime="debye",
-        k=1,
-        orders_checked=(0, 1, 2, 3),
-        measured_order=float(sum(measured) / len(measured)) if measured else float("nan"),
-        expected_order=3.0,
-        tolerance=tolerance,
-        passed=ok,
-        detail={"residuals": [str(r) for r in residuals]},
-    )
+    return _decay_report("debye", 1, (0, 1, 2, 3), nu_list, residuals, 3, 0.30, "residuals")
+
+
+# ---------------------------------------------------------------------------
+# the numeric regimes at their sample points
+# ---------------------------------------------------------------------------
+
+
+def numeric_check(name: str, k: int, order: int) -> RegimeReport:
+    """The numeric regime ``name`` at the sample points of this module:
+    "eps0" through genus ``order`` or "qinf" through d = ``order``, both
+    for k <= len(SAMPLE_LAMS), or "debye" (which reads neither k nor
+    ``order``).  The numeric twin of :func:`table_match`."""
+    if name == "debye":
+        return debye_check(DEBYE_NU, DEBYE_ZETA)
+    if k > len(SAMPLE_LAMS):
+        raise ValueError(f"{name} is checked at lam = {', '.join(map(str, SAMPLE_LAMS))}: "
+                         f"k <= {len(SAMPLE_LAMS)} required")
+    if name == "eps0":
+        return verify_eps0(k, order, SAMPLE_LAMS, EPS0_Q, EPS0_EPS)
+    return verify_q_inf(k, order, SAMPLE_LAMS, QINF_EPS, QINF_Q)

@@ -401,10 +401,6 @@ def regime_cmd(ctx, name, k, dmax, gmax):
     reports (numeric regimes), checked against the table files."""
     if k < 1 or dmax < 0 or gmax < 0:
         raise ValueError("k >= 1, dmax >= 0, gmax >= 0 required")
-    lams = asymptotics.SAMPLE_LAMS
-    if name in ("eps0", "qinf") and k > len(lams):
-        raise ValueError(f"{name} is checked at lam = {', '.join(map(str, lams))}: "
-                         f"k <= {len(lams)} required")
 
     def compute():
         if name in ("q0", "einf"):
@@ -419,14 +415,7 @@ def regime_cmd(ctx, name, k, dmax, gmax):
             if uncompared:  # indices past the table: derived, but checked by no route
                 payload["uncompared"] = uncompared
             return _dumps(payload)
-        if name == "debye":
-            rep = asymptotics.debye_check(asymptotics.DEBYE_NU, asymptotics.DEBYE_ZETA)
-        elif name == "eps0":
-            rep = asymptotics.verify_eps0(k, gmax, lams[:k], asymptotics.EPS0_Q,
-                                          asymptotics.EPS0_EPS)
-        else:
-            rep = asymptotics.verify_q_inf(k, dmax, lams[:k], asymptotics.QINF_EPS,
-                                           asymptotics.QINF_Q)
+        rep = asymptotics.numeric_check(name, k, gmax if name == "eps0" else dmax)
         if not rep.passed:
             raise RouteDisagreement(f"regime verification failed: {rep.to_json()}")
         return _dumps(rep.to_json())

@@ -18,7 +18,6 @@ with different tags raise instead of coercing.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Callable, Iterable, Mapping
 
 from gwp1.ring.poly import MultiPoly
@@ -229,11 +228,11 @@ class MultiSeries:
 
     # ----- single-variable conveniences -----------------------------------
     def shift(self, name: str, c) -> "MultiSeries":
-        """Re-expand after substituting z -> z + c in the direct variable z.
-
-        z**-k re-expands by the binomial series; positive powers (negative
-        indices) expand finitely.  Truncation orders are preserved: the
-        unknown tail O(z**-(N+1)) only feeds indices beyond N.
+        """Re-expand after substituting z -> z + c in the direct variable z:
+        each z**-k becomes :func:`inverse_power` (z + c)**-k.  Truncation
+        orders are preserved: the unknown tail O(z**-(N+1)) only feeds
+        indices beyond N.  Positive powers of z (negative indices) are not
+        supported.
         """
         c = Fraction(c)
         if not c:
@@ -241,44 +240,12 @@ class MultiSeries:
         j = self.vars.index(name)
         order = self.orders[j]
         terms: dict[tuple, object] = {}
-
-        def addterm(idx, coeff):
-            if _coeff_is_zero(coeff):
-                return
-            if idx in terms:
-                s = terms[idx] + coeff
-                if _coeff_is_zero(s):
-                    del terms[idx]
-                else:
-                    terms[idx] = s
-            else:
-                terms[idx] = coeff
-
         for idx, coeff in self.terms.items():
-            k = idx[j]
-            if k >= 0:
-                # (z + c)^(-k) = sum_m (-1)^m C(k+m-1, m) c^m z^(-k-m)
-                m = 0
-                while k + m <= order:
-                    factor = Fraction((-1) ** m * comb(k + m - 1, m)) * c**m if k > 0 else (
-                        Fraction(1) if m == 0 else Fraction(0)
-                    )
-                    if factor:
-                        i2 = list(idx)
-                        i2[j] = k + m
-                        addterm(tuple(i2), coeff * factor)
-                    if k == 0:
-                        break
-                    m += 1
-            else:
-                # (z + c)^t, t = -k > 0: finite binomial
-                t = -k
-                for m in range(t + 1):
-                    factor = Fraction(comb(t, m)) * c**m
-                    i2 = list(idx)
-                    i2[j] = -(t - m)
-                    if i2[j] <= order:
-                        addterm(tuple(i2), coeff * factor)
+            if idx[j] < 0:
+                raise ValueError(f"shift of the positive power {name}**{-idx[j]}")
+            for m, v in inverse_power(name, idx[j], -c, order, coeff, self.ring).terms.items():
+                i2 = idx[:j] + m + idx[j + 1:]
+                terms[i2] = terms[i2] + v if i2 in terms else v
         return self._wrap(self.orders, self.floors, terms)
 
     def mul_monomial(self, name: str, power: int, coeff=Fraction(1)) -> "MultiSeries":

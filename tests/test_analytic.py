@@ -69,6 +69,14 @@ class TestHyperSeries:
     def test_singularity_guard(self, pc):
         with pytest.raises(ValueError):
             hyper_G(pc, 0.5 + 1e-9, 1)
+        ctx = pc.ctx
+        for z in (ctx.mpf(2) ** 52 + 0.5, ctx.mpf("0.5000000000000000001")):
+            with pytest.raises(ValueError):
+                hyper_G(pc, z, 1)
+        # binary64 has no half-integers near 1e16, but 1e16 itself is an integer
+        for z in (1e16, ctx.mpf(10) ** 16):
+            g = hyper_G(pc, z, 1)[0]
+            assert abs(g - 1 - ctx.mpf(2) / 10**32) < ctx.mpf(10) ** -38
 
 
 class TestBessel:

@@ -21,12 +21,12 @@ from gwp1.asymptotics import (
     expand_eps_inf,
     expand_q0,
     load_table,
+    numeric_check,
     onepoint_oracle_match,
     q0_einf_consistency,
     q0_in_inverse_lam,
     q0_table_entry,
     verify_eps0,
-    verify_q_inf,
 )
 from gwp1.exprtree import (
     BoxSeries,
@@ -174,20 +174,26 @@ class TestNumericRegimes:
             verify_eps0(1, 0, [1], 1, [mpmath.mpf(1) / 4])  # 2 sqrt(q)/lam >= 1
 
     def test_qinf_report(self):
-        eps = 400 / (6 * mpmath.pi)
-        rep = verify_q_inf(2, 3, [5, 7], eps, [10**4, 4 * 10**4])
+        rep = numeric_check("qinf", 2, 3)
         assert rep.passed
 
     def test_qinf_three_point_entries(self):
-        eps = 400 / (6 * mpmath.pi)
-        rep = verify_q_inf(3, 1, [5, 7, 9], eps, [10**4, 4 * 10**4])
+        rep = numeric_check("qinf", 3, 1)
         assert rep.passed and abs(rep.measured_order - 1.0) < 0.3
 
+    def test_decay_grading_rules(self):
+        # order 2.5 over a step of 4 against an expected order of 2: within
+        # 30% of the order, but the ratio 4^2.5 is twice 4^2
+        args = ("qInf", 1, (0,), [10, 40], [mpmath.mpf(4) ** 2.5, 1], 2, 0.30, "remainders")
+        on_order = asymptotics._decay_report(*args, on_order=True)
+        assert on_order.passed and abs(on_order.measured_order - 2.5) < 1e-12
+        assert not asymptotics._decay_report(*args).passed
+
     def test_debye(self):
-        rep = debye_check([40, 80], 0.6)
+        rep = numeric_check("debye", 1, 3)
         assert rep.passed and abs(rep.measured_order - 3) < 0.5
         with pytest.raises(ValueError):
-            debye_check([40, 80], 0.99)
+            debye_check(asymptotics.DEBYE_NU, 0.99)
 
 
 class TestTables:

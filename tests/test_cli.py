@@ -224,6 +224,28 @@ def test_exact_regime_payloads_are_pinned(runner, tmp_path, args, sha256):
     assert hashlib.sha256(result.output.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("args,sha256", [
+    (["--name", "eps0", "--k", "1", "--gmax", "2"],
+     "c0196d8803e7fedd3cd6a40f2cdc73f2db577fbc27aa38405c1eec7f5db83a5e"),
+    (["--name", "eps0", "--k", "2", "--gmax", "1"],
+     "737facdfb2642bd28befe08b5297605172a385f0ca0a79b698dfbe0799d083ad"),
+    (["--name", "eps0", "--k", "3", "--gmax", "0"],
+     "f162d47deaf2e51c61321458008e2c7a7ab9d2fb474b7d5e8ff8b0ae4666dad1"),
+    (["--name", "qinf", "--k", "1", "--dmax", "3"],
+     "d103f6db98ef969f7e7b0973751975945bbc8695e80792c07be99d10048fca16"),
+    (["--name", "qinf", "--k", "2", "--dmax", "3"],
+     "bad9b61ed32fb8f3a7e576f3cceed667786bfd611ee8328770315b788e5cb586"),
+    (["--name", "qinf", "--k", "3", "--dmax", "1"],
+     "e0c563d84a6ded1160b017169bb6e8a39c8c8708fc8862a3391d98f4406d7ab9"),
+    (["--name", "debye"],
+     "bf699be0b9f56698f9d668fb55f59db27afd1ea37d8bead2759e8e76729adad7"),
+])
+def test_numeric_regime_payloads_are_pinned(runner, tmp_path, args, sha256):
+    result = invoke(runner, tmp_path, "--no-cache", "regime", *args)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == sha256
+
+
 @pytest.mark.parametrize("args,uncompared", [
     (["--name", "q0", "--k", "3", "--dmax", "3"], [3]),
     (["--name", "q0", "--k", "2", "--dmax", "4"], [4]),
@@ -308,6 +330,19 @@ def test_eval_rejects_arguments_beyond_binary64(runner, tmp_path, op, args):
     assert result.exit_code == 2
     assert "bad arguments" in result.output
     assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("args,code", [
+    ("1e16;1", 0),  # an integer, though binary64 holds no half-integer near it
+    ("0.5000000000000000001;1", 2),
+    ("4503599627370496.5;1", 2),
+])
+def test_eval_half_integer_guard_at_full_precision(runner, tmp_path, args, code):
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path), "--no-cache", "eval",
+                                  "--op", "G", "--args", args])
+    assert result.exit_code == code
+    if code:
+        assert "within 1e-06 of the half-integer lattice" in result.output
 
 
 @pytest.mark.parametrize("args,message", [

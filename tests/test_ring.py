@@ -279,6 +279,8 @@ def test_series_shift_preserves_order():
     # shifting back inverts within the truncation
     back = shifted.shift("z", -1)
     assert back.terms == s.terms
+    with pytest.raises(ValueError):  # positive powers of z are not re-expanded
+        MultiSeries(("z",), (4,), {(-1,): Fraction(1)}, floors=(-1,)).shift("z", 1)
 
 
 def test_series_inverse():
