@@ -386,7 +386,8 @@ def quick_checks() -> list[CriterionResult]:
     def b_point():
         pc = PrecisionContext(128)
         res = analytic.rank_one_residuals(pc, 0.3, 1.1)
-        return res["det"] < pc.ctx.mpf("1e-30") and res["trace_minus_one"] == 0
+        return (res["det"] < pc.ctx.mpf("1e-30")
+                and res["entry_trace_residual"] < pc.ctx.mpf("1e-35"))
 
     add("rank-one matrix identities at a point", b_point)
     return out

@@ -256,15 +256,15 @@ def _rounded(pc: PrecisionContext, value, err):
     return pc.mpc(value), pc.ctx.mpf(err)
 
 
-def _check_not_half_integer(z, margin=SINGULARITY_MARGIN):
-    """Reject z within ``margin`` of the half-integer lattice.  The offset
+def _check_not_half_integer(z):
+    """Reject z within SINGULARITY_MARGIN of the half-integer lattice.  The offset
     frac(Re z) - 1/2 from the nearest lattice point is exact in the context
     of z (mpmath's default one for a Python number); binary64 rounds the
     fractional part away once |Re z| is large."""
     ctx = getattr(z, "context", mpmath.mp)
     w = ctx.convert(z)
-    if abs(ctx.mpc(ctx.frac(ctx.re(w)) - 0.5, ctx.im(w))) < margin:
-        raise ValueError(f"z = {z} is within {margin} of the half-integer lattice")
+    if abs(ctx.mpc(ctx.frac(ctx.re(w)) - 0.5, ctx.im(w))) < SINGULARITY_MARGIN:
+        raise ValueError(f"z = {z} is within {SINGULARITY_MARGIN} of the half-integer lattice")
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +272,15 @@ def _check_not_half_integer(z, margin=SINGULARITY_MARGIN):
 # ---------------------------------------------------------------------------
 
 
-def _g_series(z, s, shifts):
+def _g_series(z, s, shifts, tail=False):
     """Builder for the G family, one series per (a, b) in shifts:
 
         t_0 = 1,  t_(m+1) = t_m * 2 (2m+1) s^2 / ((m+1)(z-m-a)(z+m+b)).
 
     (1/2, 1/2) is G(z), (1/2, 3/2) is Gt(z) and (3/2, 1/2) is Gt(z-1); the
-    sums share s^2 and the factor 2 (2m+1)/(m+1)."""
+    sums share s^2 and the factor 2 (2m+1)/(m+1).  With ``tail`` a first
+    series, G(z) from t_1 on, comes before those of shifts: it sums G - 1
+    without cancelling against the 1."""
 
     def build(ctx):
         z_, s_ = _num(ctx, z), _num(ctx, s)
@@ -290,7 +292,15 @@ def _g_series(z, s, shifts):
             c = s2 * (4 * m + 2) / (m + 1)
             return [c / ((lo - m) * (hi + m)) for lo, hi in zip(lows, highs)]
 
-        return [1] * len(shifts), ratios
+        if not tail:
+            return [1] * len(shifts), ratios
+        # the ratio of G - 1 at m is that of G at m + 1
+        lo, hi = z_ - 1.5, z_ + 1.5
+
+        def with_tail(m):
+            return [s2 * (4 * m + 6) / ((m + 2) * (lo - m) * (hi + m))] + ratios(m)
+
+        return [2 * s2 / ((z_ - 0.5) * (z_ + 0.5))] + [1] * len(shifts), with_tail
 
     return build
 
@@ -419,19 +429,19 @@ class UnitTraceMat2(Mat2):
 
 def matrix_B(pc: PrecisionContext, z, s) -> Mat2:
     """Unit-trace rank-one matrix assembled from the series G(z), Gt(z) and
-    Gt(z-1), summed in one loop.  The diagonal is ((1+G)/2, (1-G)/2), so
-    unit trace holds by construction and :meth:`UnitTraceMat2.trace`
-    returns it exactly; det B is a diagnostic that must vanish to working
-    precision.  The entries are assembled at working precision and then
-    rounded to pc."""
+    Gt(z-1), summed in one loop, G as its tail T = G - 1.  The diagonal is
+    (1 + T/2, -T/2), so B_22 = (1 - G)/2 keeps the relative accuracy of T
+    even where G is close to 1; unit trace holds by construction and
+    :meth:`UnitTraceMat2.trace` returns it exactly; det B is a diagnostic
+    that must vanish to working precision.  The entries are assembled at
+    working precision and then rounded to pc."""
     _check_not_half_integer(z)
     z = pc.mpc(z)
     s = pc.mpc(s)
-    ctx, (g, gt_up, gt_dn), _ = _drive(
-        pc, _g_series(z, s, [(0.5, 0.5), (0.5, 1.5), (1.5, 0.5)]))
+    ctx, (t, gt_up, gt_dn), _ = _drive(
+        pc, _g_series(z, s, [(0.5, 1.5), (1.5, 0.5)], tail=True))
     z, s = _num(ctx, z), _num(ctx, s)
-    b11 = (1 + g) / 2
-    entries = (b11, 2 * s / (1 - 2 * z) * gt_dn, 2 * s / (1 + 2 * z) * gt_up, 1 - b11)
+    entries = (1 + t / 2, 2 * s / (1 - 2 * z) * gt_dn, 2 * s / (1 + 2 * z) * gt_up, -t / 2)
     return UnitTraceMat2(*(pc.mpc(e) for e in entries), pc.ctx.mpc(1))
 
 
@@ -456,7 +466,6 @@ def rank_one_residuals(pc: PrecisionContext, z, s) -> dict:
     du = max(abs(x - y) for x, y in zip(B.entries(), outer_u.entries()))
     dv = max(abs(x - y) for x, y in zip(B.entries(), outer_v.entries()))
     return {
-        "trace_minus_one": abs(B.trace() - 1),
         "entry_trace_residual": B.entry_trace_residual(),
         "det": abs(B.det()),
         "u_factorization_rel": du / scale,
@@ -517,7 +526,7 @@ def _kernel_series(a, b, s):
     return build
 
 
-def kernel_D(pc: PrecisionContext, a, b, s, route: str = "both", rel_tol=None):
+def kernel_D(pc: PrecisionContext, a, b, s, route: str = "both"):
     """Pairing kernel D(a, b; s), by two independent routes:
 
     * "product":  u(-a)^T u(b) / (a - b)  (Bessel-product definition);
@@ -525,7 +534,8 @@ def kernel_D(pc: PrecisionContext, a, b, s, route: str = "both", rel_tol=None):
           1/(a-b) + sum_{n>=1} (a-b-2n+1)_(n-1) s^(2n)
                                / (n! (1/2-a)_n (1/2+b)_n).
 
-    route="both" evaluates both and raises on disagreement.
+    route="both" evaluates both and raises on a relative disagreement above
+    100 * 2^-(bits-16).
     """
     ctx = pc.ctx
     a = pc.mpc(a)
@@ -551,7 +561,7 @@ def kernel_D(pc: PrecisionContext, a, b, s, route: str = "both", rel_tol=None):
         raise ValueError("route must be 'series', 'product' or 'both'")
     v1 = series_route()
     v2 = product_route()
-    tol = rel_tol if rel_tol is not None else pc.tol(16) * 100
+    tol = pc.tol(16) * 100
     scale = max(abs(v1), abs(v2))
     if scale == 0:
         scale = ctx.mpf(1)
@@ -583,13 +593,16 @@ def h_k(pc: PrecisionContext, zs, s, route: str = "trace"):
     """Analytic k-point function (k >= 2) by the trace-product or the
     factorized kernel route; includes the double-pole subtraction at k = 2.
 
-    Near-diagonal points (min pairwise gap below 1e-3) are rerouted through
-    the commutator rearrangement, which is finite on diagonals; coincident
-    points raise ValueError (the diagonal limit is not implemented).
+    Near-diagonal points (min pairwise gap below 1e-3) use the commutator
+    rearrangement, which is finite on diagonals, for either route;
+    coincident points raise ValueError (the diagonal limit is not
+    implemented).
     """
     k = len(zs)
     if k < 2:
         raise ValueError("h_k requires k >= 2")
+    if route not in ("trace", "factorized"):
+        raise ValueError("route must be 'trace' or 'factorized'")
     ctx = pc.ctx
     zs = [pc.mpc(z) for z in zs]
     s = pc.mpc(s)
@@ -611,7 +624,7 @@ def h_k(pc: PrecisionContext, zs, s, route: str = "trace"):
             for i in range(k):
                 den *= zs[sigma[i]] - zs[sigma[(i + 1) % k]]
             total += prod.trace() / den
-    elif route == "factorized":
+    else:
         cache = {}
 
         def dk(i, j):
@@ -624,8 +637,6 @@ def h_k(pc: PrecisionContext, zs, s, route: str = "trace"):
             for i in range(k):
                 prod *= dk(sigma[i], sigma[(i + 1) % k])
             total += prod
-    else:
-        raise ValueError("route must be 'trace' or 'factorized'")
     value = -total
     if k == 2:
         value -= 1 / (zs[0] - zs[1]) ** 2

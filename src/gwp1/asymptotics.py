@@ -24,21 +24,24 @@ from gwp1 import analytic
 from gwp1.analytic import PrecisionContext
 from gwp1.correlators import one_point_qseries_oracle
 from gwp1.exprtree import TableEntryError, eval_box_series, eval_numeric, eval_poly, validate_tree
-from gwp1.ring.numbers import bernoulli_tail, coset_reps, odd_double_factorial
+from gwp1.resolvent import formal_W
+from gwp1.ring.numbers import bernoulli_tail, coset_reps
 from gwp1.ring.poly import MultiPoly
 from gwp1.ring.ratfun import FactoredRatFun, diff_factor, lam_eps_factor
 
 EPS = "eps"
 
-# Sample points of the numeric regime checks, read by numeric_check only: the
-# lam_i of the eps0 and qinf checks (k <= 3), the eps of eps0 at q = 1, the q
-# of qinf at an eps that phase-locks its oscillatory factors, and the Debye
-# orders nu at zeta.
+# Sample points of the numeric regime checks: the lam_i of the eps0 and qinf
+# checks (k <= 3), the eps of eps0 at q = 1 (inside 0 < 2 sqrt(q)/lam_i < 1),
+# the q of qinf at an eps that phase-locks its oscillatory factors, and the
+# Debye orders nu at zeta.  The q pair lies far enough out that every
+# tabulated (k, d_max) decays at its predicted order: nearer in, the next
+# term q^-(d_max/2 + 1) can outweigh the leading remainder q^-(d_max + 1)/2.
 SAMPLE_LAMS = (5, 7, 9)
 EPS0_Q = 1
 EPS0_EPS = (mpmath.mpf(1) / 8, mpmath.mpf(1) / 16, mpmath.mpf(1) / 32)
 QINF_EPS = 400 / (6 * mpmath.pi)
-QINF_Q = (10**4, 4 * 10**4)
+QINF_Q = (256 * 10**4, 1024 * 10**4)
 DEBYE_NU = (40, 80)
 DEBYE_ZETA = 0.6
 
@@ -47,28 +50,23 @@ DEBYE_ZETA = 0.6
 # table loading
 # ---------------------------------------------------------------------------
 
-_ALLOWED_VARS = {"lam1", "lam2", "lam3", "lam4", "q", "eps", "zeta", "pi",
+_ALLOWED_VARS = {"lam1", "lam2", "lam3", "lam4", "q", "eps", "zeta", "w", "pi",
                  "S1", "S2", "S3", "C1", "C2", "C3"}
 
 
 def load_table(name: str) -> dict:
-    """Load and schema-validate one of the regime table files."""
+    """Load one of the regime table files and validate the trees of its
+    ``entries``."""
     path = resources.files("gwp1.tables").joinpath(name)
     with path.open("r") as fh:
         data = json.load(fh)
-    for key in ("entries", "V", "U"):
-        for i, entry in enumerate(data.get(key, [])):
-            label = f"{name}:{key}[{i}]"
-            try:
-                for tk in ("tree", "num"):
-                    if tk in entry:
-                        validate_tree(entry[tk], _ALLOWED_VARS)
-                if "w_poly" in entry:
-                    for p, c in entry["w_poly"].items():
-                        int(p)
-                        Fraction(c)
-            except (TableEntryError, ValueError) as exc:
-                raise TableEntryError(f"{label}: {exc}") from exc
+    for i, entry in enumerate(data["entries"]):
+        try:
+            for tk in ("tree", "num"):
+                if tk in entry:
+                    validate_tree(entry[tk], _ALLOWED_VARS)
+        except TableEntryError as exc:
+            raise TableEntryError(f"{name}:entries[{i}]: {exc}") from exc
     return data
 
 
@@ -497,14 +495,13 @@ def _k_point_value(pc: PrecisionContext, lams, q, eps):
 
 
 def _decay_report(regime, k, orders_checked, points, residuals, expected, tolerance,
-                  detail_key, on_order=False) -> RegimeReport:
+                  detail_key) -> RegimeReport:
     """Grade the decay of ``residuals`` across consecutive ``points``.
 
     For each pair, the step is the larger point over the smaller and the
     measured order is log(r1/r2) / log(step).  The pair passes when r1/r2 is
-    within ``tolerance`` (relative) of step^expected or, with ``on_order``,
-    when the measured order is within ``tolerance`` (relative) of
-    ``expected``; the report carries the mean measured order."""
+    within ``tolerance`` (relative) of step^expected; the report carries the
+    mean measured order."""
     measured = []
     ok = True
     pairs = list(zip(points, residuals))
@@ -514,10 +511,7 @@ def _decay_report(regime, k, orders_checked, points, residuals, expected, tolera
         ratio = r1 / r2
         order = float(mpmath.log(ratio) / mpmath.log(step))
         measured.append(order)
-        if on_order:
-            if abs(order / float(expected) - 1) > tolerance:
-                ok = False
-        elif abs(ratio / step ** expected - 1) > tolerance:
+        if abs(ratio / step ** expected - 1) > tolerance:
             ok = False
     return RegimeReport(
         regime=regime,
@@ -531,31 +525,27 @@ def _decay_report(regime, k, orders_checked, points, residuals, expected, tolera
     )
 
 
-def verify_eps0(k: int, g_max: int, lams, q, eps_list) -> RegimeReport:
+def verify_eps0(k: int, g_max: int) -> RegimeReport:
     """Measure the remainder order of the small-eps expansion after
-    subtracting the tabulated closed forms through genus g_max.
-
-    Requires the region 0 < 2 sqrt(q)/lam_i < 1 with lam_i/eps > 0; the
-    remainder between consecutive eps values must scale with the predicted
-    next order within a relative tolerance of 0.25."""
-    lams = list(lams)[:k]
-    for lam in lams:
-        if not (0 < 2 * mpmath.sqrt(q) / lam < 1):
-            raise ValueError(f"lam = {lam} outside the admissible region")
+    subtracting the tabulated closed forms through genus g_max, at lam_i =
+    SAMPLE_LAMS, q = EPS0_Q and eps in EPS0_EPS: the remainder between
+    consecutive eps values must scale with the predicted next order within a
+    relative tolerance of 0.25."""
+    lams, q = SAMPLE_LAMS[:k], EPS0_Q
     entries = [(g, _table_entry("eps0", k, "g", g)["tree"]) for g in range(0, g_max + 1)]
     pc = PrecisionContext()
     ctx = pc.ctx
     env = {f"lam{i + 1}": ctx.mpf(lam) for i, lam in enumerate(lams)}
     env["q"] = ctx.mpf(q)
     remainders = []
-    for eps in eps_list:
+    for eps in EPS0_EPS:
         eps_m = ctx.mpf(eps)
         # sum_g eps^(2g-2+2k) Hk[g], plus log(sqrt(q)/lam) at k = 1
         model = ctx.log(ctx.sqrt(env["q"])) - ctx.log(env["lam1"]) if k == 1 else ctx.mpf(0)
         for g, tree in entries:
             model += eps_m ** (2 * g - 2 + 2 * k) * eval_numeric(tree, ctx, env)
         remainders.append(abs(_k_point_value(pc, lams, q, eps) - model))
-    return _decay_report("eps0", k, range(0, g_max + 1), eps_list, remainders,
+    return _decay_report("eps0", k, range(0, g_max + 1), EPS0_EPS, remainders,
                          2 * g_max + 2 * k, 0.25, "remainders")
 
 
@@ -564,25 +554,15 @@ def verify_eps0(k: int, g_max: int, lams, q, eps_list) -> RegimeReport:
 # ---------------------------------------------------------------------------
 
 
-def _onepoint_drift_coeff(d: int, lam, eps, ctx):
-    """Coefficient of q^-(d+1/2) in the non-oscillatory (drift) part of the
-    cos-weighted one-point function:
-
-        (2d-1)!! prod_{j=-d..d} (lam - eps j) / ( (2d+1) d! 2^(3d+1) )."""
-    prod = ctx.mpf(1)
-    for j in range(-d, d + 1):
-        prod *= lam - eps * j
-    return (ctx.mpf(odd_double_factorial(d)) * prod
-            / ((2 * d + 1) * factorial(d) * ctx.mpf(2) ** (3 * d + 1)))
-
-
-def verify_q_inf(k: int, d_max: int, lams, eps, q_list) -> RegimeReport:
+def verify_q_inf(k: int, d_max: int) -> RegimeReport:
     """Measure the residual decay order of the large-q expansion after
-    subtracting every tabulated term with q power >= -d_max/2; the measured
-    order must match the predicted one within a relative tolerance of 0.30
-    (the oscillatory regime is graded on the order, not on the ratio).
-    Raises NoTableEntry when d_max lies past the last tabulated d for k."""
-    lams = list(lams)[:k]
+    subtracting every tabulated term with q power >= -d_max/2, at lam_i =
+    SAMPLE_LAMS, eps = QINF_EPS and q in QINF_Q: the residual between the two
+    q values must scale with the predicted order within a relative tolerance
+    of 0.30.  At k = 1 the drift terms come from the formal large-q solution:
+    the q^-(d+1/2) coefficient is 2/(2d+1) [sq^(2d+1)] w1 times S1.  Raises
+    NoTableEntry when d_max lies past the last tabulated d for k."""
+    lams, eps = SAMPLE_LAMS[:k], QINF_EPS
     entries = [e for e in load_table("qinf_table.json")["entries"] if e["k"] == k]
     if d_max > max((e["d"] for e in entries), default=-1):
         raise NoTableEntry(f"no qinf table entry for k={k}, d={d_max}")
@@ -596,19 +576,15 @@ def verify_q_inf(k: int, d_max: int, lams, eps, q_list) -> RegimeReport:
         env[f"S{i + 1}"] = ctx.sin(ctx.pi * ctx.mpf(lam) / eps_m)
         env[f"C{i + 1}"] = ctx.cos(ctx.pi * ctx.mpf(lam) / eps_m)
         coswt *= env[f"C{i + 1}"]
+    # the q^-(p/2) drift terms with p <= d_max, p = 2d + 1 odd
+    drift = [(p, 2 * c.eval_numeric(ctx, {"lam": env["lam1"], "eps": eps_m}) / p)
+             for (p,), c in formal_W(d_max).w1.terms.items()] if k == 1 else []
     remainders = []
-    for q in q_list:
+    for q in QINF_Q:
         q_m = ctx.mpf(q)
-        model = ctx.mpf(0)
-        if k == 1:
-            model = -ctx.pi / 2 * env["S1"]
-            # drift series: the q^-(d+1/2) terms with d + 1/2 <= d_max/2
-            for d in range((d_max + 1) // 2):
-                model += (
-                    env["S1"]
-                    * _onepoint_drift_coeff(d, env["lam1"], eps_m, ctx)
-                    / q_m ** (d + ctx.mpf(1) / 2)
-                )
+        model = -ctx.pi / 2 * env["S1"] if k == 1 else ctx.mpf(0)
+        for p, c in drift:
+            model += env["S1"] * c / q_m ** (ctx.mpf(p) / 2)
         phase = 4 * ctx.sqrt(q_m) / eps_m
         for e in entries:
             if e["d"] > d_max:
@@ -620,8 +596,8 @@ def verify_q_inf(k: int, d_max: int, lams, eps, q_list) -> RegimeReport:
             )
             model += q_m ** (-ctx.mpf(e["d"]) / 2) * coeff * osc
         remainders.append(abs(coswt * _k_point_value(pc, lams, q, eps) - model))
-    return _decay_report("qInf", k, range(0, d_max + 1), q_list, remainders,
-                         (d_max + 1) / 2, 0.30, "remainders", on_order=True)
+    return _decay_report("qInf", k, range(0, d_max + 1), QINF_Q, remainders,
+                         (d_max + 1) / 2, 0.30, "remainders")
 
 
 # ---------------------------------------------------------------------------
@@ -629,75 +605,37 @@ def verify_q_inf(k: int, d_max: int, lams, eps, q_list) -> RegimeReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DebyeCoefficients:
-    v_entries: tuple
-    u_entries: tuple
-
-    @classmethod
-    def load(cls) -> "DebyeCoefficients":
-        data = load_table("debye_table.json")
-        return cls(v_entries=tuple(data["V"]), u_entries=tuple(data["U"]))
-
-    def structural_check(self) -> bool:
-        """V_m for m >= 2 is a polynomial in w = (1-zeta^2)^(-1/2) of degree
-        3m - 3, and the argument-scaled family equals it from m = 2 on."""
-        for e in self.v_entries:
-            m = e["m"]
-            if m >= 2:
-                if "w_poly" not in e:
-                    return False
-                if max(int(p) for p in e["w_poly"]) != 3 * m - 3:
-                    return False
-        for e in self.u_entries:
-            if e["m"] >= 2 and not e.get("same_as_V"):
-                return False
-        return True
-
-    def v_value(self, m: int, ctx, zeta):
-        entry = next(e for e in self.v_entries if e["m"] == m)
-        if "tree" in entry:
-            return eval_numeric(entry["tree"], ctx, {"zeta": zeta})
-        w = 1 / ctx.sqrt(1 - zeta * zeta)
-        total = ctx.mpf(0)
-        for p, c in entry["w_poly"].items():
-            fc = Fraction(c)
-            total += ctx.mpf(fc.numerator) / ctx.mpf(fc.denominator) * w ** int(p)
-        return total
-
-
-def debye_check(nu_list, zeta) -> RegimeReport:
+def debye_check() -> RegimeReport:
     """Large-order Bessel asymptotics: with V = nu V0 + V1 + V2/nu + V3/nu^2,
 
         J_(nu - 1/2)(nu zeta) ~ (nu - 1/2)^(nu - 1/2) / Gamma(nu + 1/2) e^V,
 
-    the relative residual, evaluated at 192 bits, must decay like nu^-3
-    across the given orders within a relative tolerance of 0.30."""
-    if not (0.05 < zeta < 0.95):
-        raise ValueError("zeta must lie in (0.05, 0.95)")
-    coeffs = DebyeCoefficients.load()
-    if not coeffs.structural_check():
-        raise TableEntryError("Debye table failed the structural check")
+    the relative residual at zeta = DEBYE_ZETA and nu in DEBYE_NU, evaluated
+    at 192 bits, must decay like nu^-3 within a relative tolerance of 0.30.
+    V_m for m >= 2 is tabulated as a polynomial in w = (1 - zeta^2)^(-1/2) of
+    degree 3m - 3 (else TableEntryError)."""
     pc = PrecisionContext(192)
     ctx = pc.ctx
-    zeta_m = ctx.mpf(zeta)
+    zeta_m = ctx.mpf(DEBYE_ZETA)
+    env = {"zeta": zeta_m, "w": 1 / ctx.sqrt(1 - zeta_m * zeta_m)}
+    V = {}
+    for e in load_table("debye_table.json")["entries"]:
+        m = e["m"]
+        if m >= 2 and eval_poly(e["tree"], ("w",)).degree("w") != 3 * m - 3:
+            raise TableEntryError(f"Debye V_{m} is not of degree {3 * m - 3} in w")
+        V[m] = eval_numeric(e["tree"], ctx, env)
     residuals = []
-    for nu in nu_list:
+    for nu in DEBYE_NU:
         nu_m = ctx.mpf(nu)
         val = analytic.bessel_J(pc, nu_m - ctx.mpf(1) / 2, nu_m * zeta_m)[0]
-        V = (
-            nu_m * coeffs.v_value(0, ctx, zeta_m)
-            + coeffs.v_value(1, ctx, zeta_m)
-            + coeffs.v_value(2, ctx, zeta_m) / nu_m
-            + coeffs.v_value(3, ctx, zeta_m) / nu_m**2
-        )
+        exponent = nu_m * V[0] + V[1] + V[2] / nu_m + V[3] / nu_m**2
         model = ctx.exp(
             (nu_m - ctx.mpf(1) / 2) * ctx.log(nu_m - ctx.mpf(1) / 2)
             - ctx.loggamma(nu_m + ctx.mpf(1) / 2)
-            + V
+            + exponent
         )
         residuals.append(abs(val / model - 1))
-    return _decay_report("debye", 1, (0, 1, 2, 3), nu_list, residuals, 3, 0.30, "residuals")
+    return _decay_report("debye", 1, (0, 1, 2, 3), DEBYE_NU, residuals, 3, 0.30, "residuals")
 
 
 # ---------------------------------------------------------------------------
@@ -711,10 +649,8 @@ def numeric_check(name: str, k: int, order: int) -> RegimeReport:
     for k <= len(SAMPLE_LAMS), or "debye" (which reads neither k nor
     ``order``).  The numeric twin of :func:`table_match`."""
     if name == "debye":
-        return debye_check(DEBYE_NU, DEBYE_ZETA)
+        return debye_check()
     if k > len(SAMPLE_LAMS):
         raise ValueError(f"{name} is checked at lam = {', '.join(map(str, SAMPLE_LAMS))}: "
                          f"k <= {len(SAMPLE_LAMS)} required")
-    if name == "eps0":
-        return verify_eps0(k, order, SAMPLE_LAMS, EPS0_Q, EPS0_EPS)
-    return verify_q_inf(k, order, SAMPLE_LAMS, QINF_EPS, QINF_Q)
+    return (verify_eps0 if name == "eps0" else verify_q_inf)(k, order)

@@ -401,11 +401,11 @@ def regime_cmd(ctx, name, k, dmax, gmax):
     reports (numeric regimes), checked against the table files."""
     if k < 1 or dmax < 0 or gmax < 0:
         raise ValueError("k >= 1, dmax >= 0, gmax >= 0 required")
+    order = dmax if name in ("q0", "qinf") else gmax
 
     def compute():
         if name in ("q0", "einf"):
-            data, field, matches, uncompared = asymptotics.table_match(
-                name, k, dmax if name == "q0" else gmax)
+            data, field, matches, uncompared = asymptotics.table_match(name, k, order)
             if not all(matches.values()):
                 other = "the table" if field == "table_match" else "the one-point oracle"
                 raise RouteDisagreement(f"derived coefficients disagree with {other}")
@@ -415,12 +415,14 @@ def regime_cmd(ctx, name, k, dmax, gmax):
             if uncompared:  # indices past the table: derived, but checked by no route
                 payload["uncompared"] = uncompared
             return _dumps(payload)
-        rep = asymptotics.numeric_check(name, k, gmax if name == "eps0" else dmax)
+        rep = asymptotics.numeric_check(name, k, order)
         if not rep.passed:
             raise RouteDisagreement(f"regime verification failed: {rep.to_json()}")
         return _dumps(rep.to_json())
 
-    _run_cached(ctx, "regime", {"name": name, "k": k, "dmax": dmax, "gmax": gmax}, compute)
+    # the key holds what the regime reads: debye reads neither k nor an order
+    params = {"name": name} if name == "debye" else {"name": name, "k": k, "order": order}
+    _run_cached(ctx, "regime", params, compute)
 
 
 @main.command("selftest")

@@ -58,7 +58,7 @@ def _m_entries_in_lambda(N: int):
         (1, 0): R.gamma,
         (1, 1): -R.alpha,
     }
-    polys = {key: substitute_shifted(series, "lam", N).terms for key, series in entries.items()}
+    polys = {key: substitute_shifted(series, N).terms for key, series in entries.items()}
     den = lcm(*(p.den for mp in polys.values() for p in mp.values()))
     # drop each polynomial as its integer copy is made: one form held at a time
     out = {}
@@ -308,7 +308,7 @@ def _one_point_from_z(terms: dict, N: int) -> MultiSeries:
     S = MultiSeries((Z,), (N,), terms, ring=RING_S)
     xonly = {(m,): MultiPoly.from_ints(XE_VARS, {(m, 0): 1}, m, XE_LAURENT)
              for m in range(2, N + 1)}
-    acc = substitute_shifted(S, "lam", N) + MultiSeries(("lam",), (N,), xonly, ring=RING_XE)
+    acc = substitute_shifted(S, N) + MultiSeries(("lam",), (N,), xonly, ring=RING_XE)
     return acc.scale(MultiPoly.from_ints(XE_VARS, {(0, -1): 1}, 1, XE_LAURENT))
 
 

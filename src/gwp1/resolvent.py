@@ -332,7 +332,7 @@ def alpha_from_difference_equation(N: int) -> MultiSeries:
 # ---------------------------------------------------------------------------
 
 
-def substitute_shifted(series_in_z: MultiSeries, target: str = "lam", N: int | None = None) -> MultiSeries:
+def substitute_shifted(series_in_z: MultiSeries, N: int | None = None) -> MultiSeries:
     """Substitute z = (lam - x)/eps and s = 1/eps, re-expanding in 1/lam.
 
     z**-r maps to eps^r sum_m C(r+m-1, m) x^m lam^-(r+m); each s-degree d of
@@ -354,9 +354,9 @@ def substitute_shifted(series_in_z: MultiSeries, target: str = "lam", N: int | N
         # coeff is a polynomial in s
         base = MultiPoly.from_ints(XE_VARS, {(0, r - d): n for (d,), n in coeff.num.items()},
                                    coeff.den, XE_LAURENT)
-        for idx, p in inverse_power(target, r, x, N, base, RING_XE).terms.items():
+        for idx, p in inverse_power(LAM, r, x, N, base, RING_XE).terms.items():
             out[idx] = out[idx] + p if idx in out else p
-    return MultiSeries((target,), (N,), out, ring=RING_XE)
+    return MultiSeries((LAM,), (N,), out, ring=RING_XE)
 
 
 @dataclass(frozen=True)
@@ -397,7 +397,7 @@ def cross_check_routes(N: int) -> CrossCheckReport:
     ):
         expected = {
             j: MultiPoly.from_ints(NE_VARS, {(a, a + b): n for (a, b), n in p.num.items()}, p.den)
-            for (j,), p in substitute_shifted(closed_entry, LAM, N).terms.items()
+            for (j,), p in substitute_shifted(closed_entry, N).terms.items()
         }
         for j in range(0, N):
             want = expected.get(j + 1, zero)
@@ -438,10 +438,6 @@ class WFormalSeries:
     w1: MultiSeries
     w2: MultiSeries
     order: int
-
-    def trace(self) -> MultiSeries:
-        half = MultiSeries.const((SQ,), (self.order,), _le_const(Fraction(1, 2)), ring=RING_LE)
-        return half + half  # imaginary parts cancel exactly: -w1 + w1
 
     def det_residual(self) -> MultiSeries:
         quarter = MultiSeries.const(

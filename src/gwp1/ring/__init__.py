@@ -3,7 +3,6 @@ factored rational functions, truncated inverse-power series and 2x2 matrices.
 """
 
 from gwp1.ring.numbers import (
-    Rational,
     rat_from_str,
     rat_to_str,
     bernoulli_number,
@@ -16,7 +15,6 @@ from gwp1.ring.ratfun import FactoredRatFun, lam_eps_factor, diff_factor
 from gwp1.ring.mat2 import Mat2
 
 __all__ = [
-    "Rational",
     "rat_from_str",
     "rat_to_str",
     "bernoulli_number",

@@ -12,8 +12,6 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb, prod
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

@@ -163,15 +163,17 @@ class TestCrossRegime:
 
 class TestNumericRegimes:
     def test_eps0_report(self):
-        F = mpmath.mpf
-        rep = verify_eps0(2, 1, [5, 7], 1, [F(1) / 4, F(1) / 8])
+        rep = verify_eps0(2, 1)
         assert rep.passed and abs(rep.measured_order - 6) < 0.5
         data = rep.to_json()
         assert data["regime"] == "eps0" and data["pass"]
 
-    def test_eps0_region_guard(self):
-        with pytest.raises(ValueError):
-            verify_eps0(1, 0, [1], 1, [mpmath.mpf(1) / 4])  # 2 sqrt(q)/lam >= 1
+    def test_sample_points_lie_in_their_regions(self):
+        # the eps0 expansion holds for 0 < 2 sqrt(q)/lam < 1, the Debye one
+        # away from the turning point zeta = 1 and from zeta = 0
+        for lam in asymptotics.SAMPLE_LAMS:
+            assert 0 < 2 * mpmath.sqrt(asymptotics.EPS0_Q) / lam < 1
+        assert 0.05 < asymptotics.DEBYE_ZETA < 0.95
 
     def test_qinf_report(self):
         rep = numeric_check("qinf", 2, 3)
@@ -182,18 +184,21 @@ class TestNumericRegimes:
         assert rep.passed and abs(rep.measured_order - 1.0) < 0.3
 
     def test_decay_grading_rules(self):
-        # order 2.5 over a step of 4 against an expected order of 2: within
-        # 30% of the order, but the ratio 4^2.5 is twice 4^2
-        args = ("qInf", 1, (0,), [10, 40], [mpmath.mpf(4) ** 2.5, 1], 2, 0.30, "remainders")
-        on_order = asymptotics._decay_report(*args, on_order=True)
-        assert on_order.passed and abs(on_order.measured_order - 2.5) < 1e-12
-        assert not asymptotics._decay_report(*args).passed
+        # over a step of 4 against an expected order of 2, a pair passes when
+        # r1/r2 lies within 30% of 4^2; an order of 2.5 is within 30% of 2,
+        # but its ratio 4^2.5 is twice 4^2
+        def report(ratio):
+            return asymptotics._decay_report("qInf", 1, (0,), [40, 10], [ratio, 1], 2, 0.30,
+                                             "remainders")
+
+        for factor, passed in ((1.29, True), (0.71, True), (1.31, False), (0.69, False)):
+            assert report(16 * mpmath.mpf(factor)).passed is passed, factor
+        rep = report(mpmath.mpf(4) ** 2.5)
+        assert not rep.passed and abs(rep.measured_order - 2.5) < 1e-12
 
     def test_debye(self):
         rep = numeric_check("debye", 1, 3)
         assert rep.passed and abs(rep.measured_order - 3) < 0.5
-        with pytest.raises(ValueError):
-            debye_check(asymptotics.DEBYE_NU, 0.99)
 
 
 class TestTables:
@@ -237,22 +242,33 @@ class TestTables:
                 continue  # logarithm: scale-invariant but not homogeneous
             assert grading_scaling_check(e["tree"], ctx, env, e["grading"], 1e-30), e
 
-    def test_debye_structural_claim(self):
-        from gwp1.asymptotics import DebyeCoefficients
+    def test_debye_structural_claim(self, monkeypatch):
+        # V_m, m >= 2, is a polynomial in w of degree 3m - 3, and debye_check
+        # rejects a table whose V_3 lacks its top term
+        entries = load_table("debye_table.json")["entries"]
+        assert [e["m"] for e in entries] == [0, 1, 2, 3]
+        for e in entries[2:]:
+            assert eval_poly(e["tree"], ("w",)).degree("w") == 3 * e["m"] - 3
+        load = asymptotics.load_table
 
-        assert DebyeCoefficients.load().structural_check()
+        def truncated(name):
+            data = load(name)
+            data["entries"][3]["tree"]["args"].pop()
+            return data
+
+        monkeypatch.setattr(asymptotics, "load_table", truncated)
+        with pytest.raises(TableEntryError):
+            debye_check()
 
     def test_debye_leading_exponent_identity(self):
         # V0 + 1 - sqrt(1-z^2) - log z + log(1 + sqrt(1-z^2)) == 0
-        from gwp1.asymptotics import DebyeCoefficients
-
         ctx = mpmath.mp.clone()  # the global mpmath.mp keeps its precision
         ctx.prec = 120
-        coeffs = DebyeCoefficients.load()
+        v0 = load_table("debye_table.json")["entries"][0]["tree"]
         for zeta in (ctx.mpf("0.3"), ctx.mpf("0.6"), ctx.mpf("0.9")):
             root = ctx.sqrt(1 - zeta * zeta)
-            combo = coeffs.v_value(0, ctx, zeta) + 1 - root - ctx.log(zeta) + ctx.log(1 + root)
-            assert abs(combo) < ctx.mpf("1e-30")
+            v = eval_numeric(v0, ctx, {"zeta": zeta})
+            assert abs(v + 1 - root - ctx.log(zeta) + ctx.log(1 + root)) < ctx.mpf("1e-30")
 
     def test_one_point_genus_value_at_q_zero(self):
         # the genus-1 coefficient evaluated at q = 0 is -1/(24 lam^2)

@@ -232,18 +232,37 @@ def test_exact_regime_payloads_are_pinned(runner, tmp_path, args, sha256):
     (["--name", "eps0", "--k", "3", "--gmax", "0"],
      "f162d47deaf2e51c61321458008e2c7a7ab9d2fb474b7d5e8ff8b0ae4666dad1"),
     (["--name", "qinf", "--k", "1", "--dmax", "3"],
-     "d103f6db98ef969f7e7b0973751975945bbc8695e80792c07be99d10048fca16"),
+     "75e77a9967d40dd5ae59f3713c731aec7a54fde4aaa1fa3209868ef30c7cb2fd"),
     (["--name", "qinf", "--k", "2", "--dmax", "3"],
-     "bad9b61ed32fb8f3a7e576f3cceed667786bfd611ee8328770315b788e5cb586"),
+     "e2a9314b32b0b589085da9f5250b127f546aa219b0ca76f08fd5028875d7b670"),
     (["--name", "qinf", "--k", "3", "--dmax", "1"],
-     "e0c563d84a6ded1160b017169bb6e8a39c8c8708fc8862a3391d98f4406d7ab9"),
+     "05be3238a6e7a90995e5a0500916b8bc5f8c4922f1ad9e43199c52ac7ae15efb"),
     (["--name", "debye"],
      "bf699be0b9f56698f9d668fb55f59db27afd1ea37d8bead2759e8e76729adad7"),
+    # measured order 2.406 against 2.5: the q^-3 term no longer outweighs
+    # the q^-5/2 one at the sample points
+    (["--name", "qinf", "--k", "1", "--dmax", "4"],
+     "7be77609ece26a94286e5678ebeb39e61d6903d334067974c0897bf8166b1c3e"),
 ])
 def test_numeric_regime_payloads_are_pinned(runner, tmp_path, args, sha256):
     result = invoke(runner, tmp_path, "--no-cache", "regime", *args)
     assert result.exit_code == 0
     assert hashlib.sha256(result.output.encode()).hexdigest() == sha256
+
+
+def test_regime_cache_key_holds_what_the_regime_reads(runner, tmp_path, monkeypatch):
+    # debye reads neither --k nor an order, so a request with other values of
+    # both is a hit on the one stored entry
+    first = invoke(runner, tmp_path, "regime", "--name", "debye", "--k", "1", "--gmax", "1")
+
+    def recompute():
+        raise AssertionError("a cache miss")
+
+    monkeypatch.setattr(cli.asymptotics, "debye_check", recompute)
+    second = invoke(runner, tmp_path, "regime", "--name", "debye", "--k", "2", "--gmax", "2")
+    assert first.exit_code == second.exit_code == 0
+    assert second.output == first.output
+    assert len(list(tmp_path.glob("*.json"))) == 1
 
 
 @pytest.mark.parametrize("args,uncompared", [
@@ -451,3 +470,15 @@ def test_failed_selftest_exit_code(runner, tmp_path, monkeypatch):
     assert result.exit_code == 3
     assert json.loads(result.stdout)["results"][0]["pass"] is False
     assert result.stderr == "selftest: 1 of 1 checks failed\n"
+
+
+def test_eval_hk_checks_the_route_at_near_diagonal_points(runner, tmp_path):
+    # a gap below 1e-3 takes the commutator form for either route, after
+    # the route is checked
+    args = ["--no-cache", "eval", "--op", "Hk", "--args", "0.3;0.3001;1"]
+    bad = runner.invoke(main, ["--cache-dir", str(tmp_path), *args, "--route", "foo"])
+    assert bad.exit_code == 2
+    assert "route must be 'trace' or 'factorized'" in bad.output
+    values = {json.loads(invoke(runner, tmp_path, *args, "--route", route).output)["value"]["re"]
+              for route in ("trace", "factorized")}
+    assert len(values) == 1
