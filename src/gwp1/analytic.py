@@ -171,7 +171,8 @@ def _sum_series(ctx, firsts, ratios, target_bits: int):
     largest term lies above it.  A bound covers truncation (four times the
     last term) and rounding: each term carries the relative rounding error
     of all ratios before it, at most 32 n 2^-prec, and each addition
-    rounds, so N terms below 2^peak contribute under 2^(peak+5-prec) N^2."""
+    rounds, so N terms below 2^peak contribute under 2^(peak+5-prec) N^2.
+    A series whose terms are all 0 has the exact bound 0."""
     mag = ctx.mag
     terms = list(firsts)
     sums = list(firsts)
@@ -197,14 +198,17 @@ def _sum_series(ctx, firsts, ratios, target_bits: int):
         raise SeriesDivergenceError("series did not meet the stopping rule")
     n_terms = n + 2
     errs = [ctx.ldexp(n_terms * n_terms, p + 5 - ctx.prec) + 4 * abs(t)
-            for p, t in zip(peaks, terms)]
+            if not ctx.isinf(p) else ctx.zero for p, t in zip(peaks, terms)]
     lost = max(_loss(ctx, p, v) for p, v in zip(peaks, sums))
     return sums, errs, lost
 
 
 def _loss(ctx, peak, value) -> int:
-    """Bits by which 2^peak exceeds |value| (all of them when value is 0)."""
-    return max(0, int(peak - ctx.mag(value))) if value else ctx.prec
+    """Bits by which 2^peak exceeds |value|: all of them when value is 0,
+    none when 2^peak is 0 as well (a series of zero terms sums to an exact 0)."""
+    if value:
+        return max(0, int(peak - ctx.mag(value)))
+    return 0 if ctx.isinf(peak) else ctx.prec
 
 
 def _drive(pc: PrecisionContext, build):
@@ -288,17 +292,20 @@ def _g_series(z, s, shifts, tail=False):
         lows = [z_ - a for a, _ in shifts]
         highs = [z_ + b for _, b in shifts]
 
-        def ratios(m):
-            c = s2 * (4 * m + 2) / (m + 1)
+        def ratios(m, c=None):
+            c = s2 * (4 * m + 2) / (m + 1) if c is None else c
             return [c / ((lo - m) * (hi + m)) for lo, hi in zip(lows, highs)]
 
         if not tail:
             return [1] * len(shifts), ratios
-        # the ratio of G - 1 at m is that of G at m + 1
+        # the ratio of G - 1 at m is that of G at m + 1, whose factor c is
+        # kept for the step m + 1 of the other series (m runs 0, 1, 2, ...)
         lo, hi = z_ - 1.5, z_ + 1.5
+        cs = [2 * s2]
 
         def with_tail(m):
-            return [s2 * (4 * m + 6) / ((m + 2) * (lo - m) * (hi + m))] + ratios(m)
+            c, cs[0] = cs[0], s2 * (4 * m + 6) / (m + 2)
+            return [cs[0] / ((lo - m) * (hi + m))] + ratios(m, c)
 
         return [2 * s2 / ((z_ - 0.5) * (z_ + 0.5))] + [1] * len(shifts), with_tail
 

@@ -148,6 +148,11 @@ class TestMatrixB:
         for e, r in zip(B.entries(), ref):
             assert abs(mp.mpc(e) - r) <= abs(r) * mp.mpf(2) ** -128
 
+    @pytest.mark.parametrize("zt", ["0.3", "1.25+0.45j", "1000000.25"])
+    def test_zero_coupling(self, pc, zt):
+        # every sum that B takes past a first term 1 is an exact 0 at s = 0
+        assert matrix_B(pc, pc.ctx.mpc(complex(zt)), 0).entries() == (1, 0, 0, 0)
+
     @pytest.mark.parametrize("zt,st", GRID)
     def test_series_vs_bessel_products(self, pc, zt, st):
         ctx = pc.ctx

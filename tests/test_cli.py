@@ -67,6 +67,14 @@ def test_eval_emits_value_and_diagnostics(runner, tmp_path):
     assert "re" in data["value"] and "det" in data["diagnostics"]
 
 
+@pytest.mark.parametrize("op,args,value", [("B", "0.3;0", "1.0"), ("Hk", "0.3;0.7;0", "0.0")])
+def test_eval_at_zero_coupling(runner, tmp_path, op, args, value):
+    result = invoke(runner, tmp_path, "--no-cache", "eval", "--op", op, "--args", args)
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert data["value"] == {"im": "0.0", "re": value} and data["bits_lost"] == 0
+
+
 def test_regime_q0_table_match(runner, tmp_path):
     result = invoke(runner, tmp_path, "regime", "--name", "q0", "--k", "2",
                     "--dmax", "2")
