@@ -67,9 +67,6 @@ class PrecisionContext:
             return self.ctx.mpf(z.numerator) / self.ctx.mpf(z.denominator)
         return self.ctx.mpc(z)
 
-    def tol(self, slack_bits: int = 10):
-        return self.ctx.mpf(2) ** (-(self.bits - slack_bits))
-
 
 def required_bits(z, s, base: int = DEFAULT_BITS) -> int:
     """Precision to request at (z, s): always `base`.
@@ -568,7 +565,7 @@ def kernel_D(pc: PrecisionContext, a, b, s, route: str = "both"):
         raise ValueError("route must be 'series', 'product' or 'both'")
     v1 = series_route()
     v2 = product_route()
-    tol = pc.tol(16) * 100
+    tol = 100 * ctx.mpf(2) ** (16 - pc.bits)
     scale = max(abs(v1), abs(v2))
     if scale == 0:
         scale = ctx.mpf(1)
@@ -761,16 +758,6 @@ def h_1_star(pc: PrecisionContext, z, s):
     return pc.mpc(val)
 
 
-def h1_relation_residual(pc: PrecisionContext, z, s):
-    """|H1*(z;s) - H1(z;s) - log s + psi(1/2 + z)| (diagnostic)."""
-    ctx = pc.ctx
-    z = pc.mpc(z)
-    s = pc.mpc(s)
-    lhs = h_1_star(pc, z, s)
-    rhs = h_1(pc, z, s)[0] + ctx.log(s) - ctx.digamma(ctx.mpf(1) / 2 + z)
-    return abs(lhs - rhs)
-
-
 # ---------------------------------------------------------------------------
 # asymptotic-matching diagnostics
 # ---------------------------------------------------------------------------
@@ -807,70 +794,3 @@ def asymptotic_matching_residuals(pc: PrecisionContext, z, s=1, N: int = 10):
         residuals.append(abs(b_val - partial))
         bounds.append(bound if bound is not None else ctx.mpf(0))
     return residuals, bounds
-
-
-def _kernel_large_order_row(n: int, P: int):
-    """Integer numerators N[p][q], p, q <= P, of the s^(2n) row of the
-    coefficients below: the row is N[p][q] / (n! (n-1)!^2 2^(p+q)), from
-    1/((i-1)!(n-i)!) = C(n-1, i-1)/(n-1)!."""
-    row = [[0] * (P + 1) for _ in range(P + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 2 - i):
-            # (i+j-2n)_(n-1), nonzero for i + j <= n + 1
-            w = ((-1) ** (i + j) * math.prod(range(i + j - 2 * n, i + j - n - 1))
-                 * math.comb(n - 1, i - 1) * math.comb(n - 1, j - 1))
-            for p in range(P + 1):
-                for q in range(P + 1):
-                    row[p][q] += (-1) ** (q + 1) * w * (2 * i - 1) ** p * (2 * j - 1) ** q
-    return row
-
-
-def kernel_large_order_coefficients(pc: PrecisionContext, s, P: int):
-    """Coefficients c[p][q] of the large-argument expansion of the pairing
-    kernel minus its leading pole:
-
-        D(a, b; s) - 1/(a-b) ~ sum_{p,q>=0} c_pq a^-(p+1) b^-(q+1),
-
-        c_pq = (-1)^(q+1) sum_{n>=1} s^(2n)/n!
-               sum_{1<=i,j<=n, i+j<=n+1} (-1)^(i+j) (i+j-2n)_(n-1)
-                     (i-1/2)^p (j-1/2)^q / ((i-1)!(j-1)!(n-i)!(n-j)!)
-
-    (double partial-fraction development of the kernel series; terms with
-    i + j in [n+2, 2n] vanish because the Pochhammer factor does).  The n-th
-    term of the kernel series is homogeneous of degree -(n+1) in (a, b), so
-    row n reaches c_pq only for n <= p + q + 1: each c_pq is a polynomial in
-    s^2 with exact rational coefficients, evaluated at s.
-    """
-    ctx = pc.ctx
-    s2 = pc.mpc(s) ** 2
-    out = [[ctx.mpc(0) for _ in range(P + 1)] for _ in range(P + 1)]
-    for n in range(1, 2 * P + 2):
-        row = _kernel_large_order_row(n, P)
-        den = math.factorial(n) * math.factorial(n - 1) ** 2
-        s2n = s2**n
-        for p in range(P + 1):
-            for q in range(P + 1):
-                out[p][q] += s2n * ctx.mpf(row[p][q]) / (den << (p + q))
-    return out
-
-
-def kernel_large_order_check(pc: PrecisionContext, a, b, s=1, P: int = 4):
-    """Residual of the large-(a,b) kernel expansion through orders <= P and
-    twice the first-omitted-order bound; residual <= bound is the pass."""
-    ctx = pc.ctx
-    a = pc.mpc(a)
-    b = pc.mpc(b)
-    s = pc.mpc(s)
-    coeffs = kernel_large_order_coefficients(pc, s, P + 1)
-    val = kernel_D(pc, a, b, s, route="series") - 1 / (a - b)
-    model = ctx.mpc(0)
-    for p in range(P + 1):
-        for q in range(P + 1):
-            model += coeffs[p][q] * a ** (-p - 1) * b ** (-q - 1)
-    bound = ctx.mpf(0)
-    for p in range(P + 2):
-        for q in range(P + 2):
-            if p <= P and q <= P:
-                continue
-            bound += abs(coeffs[p][q]) * abs(a) ** (-p - 1) * abs(b) ** (-q - 1)
-    return abs(val - model), 2 * bound

@@ -135,10 +135,10 @@ def _kernel_q_terms(k: int, i: int, j: int, D: int):
 
 @dataclass(frozen=True)
 class RegimeExpansion:
-    regime: str  # "eps0" | "epsInf" | "q0" | "qInf"
+    regime: str  # "q0" | "epsInf"
     k: int
     order: int
-    coefficients: tuple  # ((index, payload), ...)
+    coefficients: tuple  # ((index, FactoredRatFun or MultiPoly), ...)
 
     def coefficient(self, index: int):
         for i, p in self.coefficients:
@@ -150,9 +150,7 @@ class RegimeExpansion:
         def enc(p):
             if isinstance(p, MultiPoly):
                 return {"kind": "poly", "vars": list(p.vars), "terms": p.to_json()}
-            if isinstance(p, FactoredRatFun):
-                return {"kind": "ratfun", **p.to_json()}
-            return {"kind": "tree", "tree": p}
+            return {"kind": "ratfun", **p.to_json()}
 
         return {
             "regime": self.regime,

@@ -426,20 +426,17 @@ def regime_cmd(ctx, name, k, dmax, gmax):
 
 
 @main.command("selftest")
-@click.option("--level", type=click.Choice(["quick", "full"]), default="quick",
-              show_default=True)
 @click.pass_context
-def selftest_cmd(ctx, level):
-    """Run the acceptance suite (quick tier < 30 s, full tier is the whole
-    criteria list) and emit a JSON report."""
+def selftest_cmd(ctx):
+    """Run every acceptance criterion and emit a JSON report."""
     from gwp1 import acceptance
     from gwp1.exprtree import TableEntryError
 
     try:
-        results = acceptance.run_all(level, echo=lambda line: click.echo(line, err=True))
+        results = acceptance.run_all(echo=lambda line: click.echo(line, err=True))
     except TableEntryError as exc:
         raise ValueError(f"table data error: {exc}") from exc
-    report = _dumps({"level": level, "results": [r.to_json() for r in results]})
+    report = _dumps({"results": [r.to_json() for r in results]})
     _emit(ctx.obj, report)
     failed = sum(not r.passed for r in results)
     if failed:

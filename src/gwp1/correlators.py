@@ -51,7 +51,7 @@ def _m_entries_in_lambda(N: int):
     Entry (0,0) carries the identity contribution at index 0.
     """
     R = closed_form_M(N)
-    one = MultiSeries.const(("z",), (N,), MultiPoly.const(("s",), 1), ring="QQ[s]")
+    one = MultiSeries.const(("z",), (N,), MultiPoly.const(("s",), 1), ring=RING_S)
     entries = {
         (0, 0): one + R.alpha,
         (0, 1): R.beta,

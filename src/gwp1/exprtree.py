@@ -315,28 +315,3 @@ def eval_box_series(tree, vars_, lo, hi) -> BoxSeries:
         "log": lambda node, xs: xs[0].log(),
         "pow": power,
     }, "windowed exact")
-
-
-# ---------------------------------------------------------------------------
-# grading (Euler scaling) check
-# ---------------------------------------------------------------------------
-
-GRADING_WEIGHTS = {"lam1": 1, "lam2": 1, "lam3": 1, "lam4": 1, "eps": 1, "q": 2}
-
-
-def grading_scaling_check(tree, ctx, env, expected_eigenvalue: int, rel_tol=1e-20):
-    """Numeric Euler-operator test: scaling (lam, sqrt(q), eps) by t = 2
-    must multiply the value by 2**eigenvalue.  The trig arguments pi lam/eps
-    are scale-invariant, so S/C variables are left alone."""
-    t = ctx.mpf(2)
-    scaled = {}
-    for name, val in env.items():
-        w = GRADING_WEIGHTS.get(name, 0)
-        scaled[name] = val * t**w
-    v1 = eval_numeric(tree, ctx, env)
-    v2 = eval_numeric(tree, ctx, scaled)
-    if v1 == 0 and v2 == 0:
-        return True
-    return abs(v2 - v1 * t**expected_eigenvalue) <= ctx.mpf(rel_tol) * max(
-        abs(v2), ctx.mpf(1e-290)
-    )

@@ -9,10 +9,6 @@ class Mat2:
     def __init__(self, a, b, c, d):
         self.a, self.b, self.c, self.d = a, b, c, d
 
-    @classmethod
-    def identity(cls, one, zero):
-        return cls(one, zero, zero, one)
-
     def __add__(self, other):
         return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
 

@@ -184,19 +184,6 @@ class MultiSeries:
     __hash__ = None
 
     # ----- queries ----------------------------------------------------------
-    def coefficient(self, idx) -> object:
-        """Coefficient at a multi-index; raises if past the valid order."""
-        idx = tuple(idx)
-        for m, o in zip(idx, self.orders):
-            if m > o:
-                raise IndexError(
-                    f"index {idx} exceeds truncation orders {self.orders}"
-                )
-        c = self.terms.get(idx)
-        if c is None:
-            return Fraction(0) if self.ring == "QQ" else None
-        return c
-
     def coefficient_or(self, idx, default):
         idx = tuple(idx)
         for m, o in zip(idx, self.orders):

@@ -15,13 +15,12 @@ def test_criterion(criterion):
     assert result.passed, f"{result.name}: {result.detail or failing}"
 
 
-def test_quick_tier_under_thirty_seconds():
-    import time
-
-    t0 = time.time()
-    results = acceptance.quick_checks()
-    elapsed = time.time() - t0
-    for r in results:
-        print(r.line())
-    assert all(r.passed for r in results)
-    assert elapsed < 30
+def test_run_all_echoes_each_criterion_in_order(monkeypatch):
+    stubs = [acceptance._criterion(f"stub {i}")(lambda i=i: (i != 1, "", []))
+             for i in range(3)]
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", stubs)
+    lines = []
+    results = acceptance.run_all(echo=lines.append)
+    assert [r.name for r in results] == ["stub 0", "stub 1", "stub 2"]
+    assert [r.passed for r in results] == [True, False, True]
+    assert lines == [r.line() for r in results]

@@ -3,6 +3,7 @@ rank-one structure, kernel routes, k-point route agreement, one-point
 identities and the asymptotic-matching diagnostics."""
 
 import cmath
+import itertools
 import math
 import sys
 import threading
@@ -21,15 +22,13 @@ from gwp1.analytic import (
     bessel_j_mod,
     gbb_residuals,
     h_1,
+    h_1_star,
     h_2_difference_form,
     h_k,
-    h1_relation_residual,
     hyper_G,
     hyper_Gt,
     kernel_D,
     kernel_Dstar,
-    kernel_large_order_check,
-    kernel_large_order_coefficients,
     matrix_B,
     precision_log,
     rank_one_residuals,
@@ -115,8 +114,6 @@ class TestMatrixB:
     def test_rank_one_structure(self, pc, zt, st):
         ctx = pc.ctx
         z, s = ctx.mpc(complex(zt)), ctx.mpc(complex(st))
-        B = matrix_B(pc, z, s)
-        assert B.trace() == 1
         res = rank_one_residuals(pc, z, s)
         assert res["entry_trace_residual"] < ctx.mpf("1e-35")
         assert res["det"] < tol(pc)
@@ -158,6 +155,73 @@ class TestMatrixB:
         ctx = pc.ctx
         res = gbb_residuals(pc, ctx.mpc(complex(zt)), ctx.mpc(complex(st)))
         assert max(res) < tol(pc)
+
+
+def _kernel_large_order_row(n: int, P: int):
+    """Integer numerators N[p][q], p, q <= P, of the s^(2n) row of the
+    coefficients below: the row is N[p][q] / (n! (n-1)!^2 2^(p+q)), from
+    1/((i-1)!(n-i)!) = C(n-1, i-1)/(n-1)!."""
+    row = [[0] * (P + 1) for _ in range(P + 1)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 2 - i):
+            # (i+j-2n)_(n-1), nonzero for i + j <= n + 1
+            w = ((-1) ** (i + j) * math.prod(range(i + j - 2 * n, i + j - n - 1))
+                 * math.comb(n - 1, i - 1) * math.comb(n - 1, j - 1))
+            for p in range(P + 1):
+                for q in range(P + 1):
+                    row[p][q] += (-1) ** (q + 1) * w * (2 * i - 1) ** p * (2 * j - 1) ** q
+    return row
+
+
+def kernel_large_order_coefficients(pc: PrecisionContext, s, P: int):
+    """Coefficients c[p][q] of the large-argument expansion of the pairing
+    kernel minus its leading pole:
+
+        D(a, b; s) - 1/(a-b) ~ sum_{p,q>=0} c_pq a^-(p+1) b^-(q+1),
+
+        c_pq = (-1)^(q+1) sum_{n>=1} s^(2n)/n!
+               sum_{1<=i,j<=n, i+j<=n+1} (-1)^(i+j) (i+j-2n)_(n-1)
+                     (i-1/2)^p (j-1/2)^q / ((i-1)!(j-1)!(n-i)!(n-j)!)
+
+    (double partial-fraction development of the kernel series; terms with
+    i + j in [n+2, 2n] vanish because the Pochhammer factor does).  The n-th
+    term of the kernel series is homogeneous of degree -(n+1) in (a, b), so
+    row n reaches c_pq only for n <= p + q + 1: each c_pq is a polynomial in
+    s^2 with exact rational coefficients, evaluated at s.
+    """
+    ctx = pc.ctx
+    s2 = pc.mpc(s) ** 2
+    out = [[ctx.mpc(0) for _ in range(P + 1)] for _ in range(P + 1)]
+    for n in range(1, 2 * P + 2):
+        row = _kernel_large_order_row(n, P)
+        den = math.factorial(n) * math.factorial(n - 1) ** 2
+        s2n = s2**n
+        for p in range(P + 1):
+            for q in range(P + 1):
+                out[p][q] += s2n * ctx.mpf(row[p][q]) / (den << (p + q))
+    return out
+
+
+def kernel_large_order_check(pc: PrecisionContext, a, b, s=1, P: int = 4):
+    """Residual of the large-(a,b) kernel expansion through orders <= P and
+    twice the first-omitted-order bound; residual <= bound is the pass."""
+    ctx = pc.ctx
+    a = pc.mpc(a)
+    b = pc.mpc(b)
+    s = pc.mpc(s)
+    coeffs = kernel_large_order_coefficients(pc, s, P + 1)
+    val = kernel_D(pc, a, b, s, route="series") - 1 / (a - b)
+    model = ctx.mpc(0)
+    for p in range(P + 1):
+        for q in range(P + 1):
+            model += coeffs[p][q] * a ** (-p - 1) * b ** (-q - 1)
+    bound = ctx.mpf(0)
+    for p in range(P + 2):
+        for q in range(P + 2):
+            if p <= P and q <= P:
+                continue
+            bound += abs(coeffs[p][q]) * abs(a) ** (-p - 1) * abs(b) ** (-q - 1)
+    return abs(val - model), 2 * bound
 
 
 class TestKernels:
@@ -228,7 +292,7 @@ class TestKernels:
         # its row vanishes at every p + q + 1 < n, and beyond n = 2P + 1
         P = 3
         for n in range(1, 2 * P + 6):
-            row = analytic._kernel_large_order_row(n, P)
+            row = _kernel_large_order_row(n, P)
             assert any(row[p][q] for p in range(P + 1) for q in range(P + 1)
                        if p + q + 1 >= n) == (n <= 2 * P + 1)
             assert all(not row[p][q] for p in range(P + 1) for q in range(P + 1)
@@ -294,6 +358,30 @@ class TestKPoint:
         ref = -(q[0] * q[0] + 2 * q[1] * q[2] + q[3] * q[3]) / 2
         assert abs(mp.mpc(value) - ref) <= abs(ref) * mp.mpf(2) ** -118
 
+    @pytest.mark.parametrize("pts,s", [
+        (("0.3", "0.3005", "-0.9"), "1.1"),
+        (("0.3+0.2j", "0.3004+0.2j", "-0.9", "1.4-0.1j"), "0.7-0.2j"),
+    ])
+    def test_near_diagonal_commutator_form(self, pc, pts, s):
+        # one close pair sends k >= 3 to the commutator form; the reference
+        # is the cyclic-trace sum over B at 320 bits
+        ref_pc = PrecisionContext(320)
+        ctx = ref_pc.ctx
+        zs = [ctx.mpc(complex(z)) for z in pts]
+        Bs = [matrix_B(ref_pc, z, ctx.mpc(complex(s))) for z in zs]
+        ref = ctx.mpc(0)
+        for rest in itertools.permutations(range(1, len(zs))):
+            cycle = (0, *rest)
+            prod, den = Bs[0], ctx.mpc(1)
+            for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+                den *= zs[i] - zs[j]
+                if j:
+                    prod = prod * Bs[j]
+            ref -= prod.trace() / den
+        for route in ("trace", "factorized"):
+            value = h_k(pc, [complex(z) for z in pts], complex(s), route=route)
+            assert abs(ctx.mpc(value) - ref) <= abs(ref) * ctx.mpf(2) ** -120
+
     def test_coincident_points_raise(self, pc):
         with pytest.raises(ValueError):
             h_k(pc, [0.3, 0.3], 1.1)
@@ -301,6 +389,16 @@ class TestKPoint:
     def test_k_must_be_at_least_two(self, pc):
         with pytest.raises(ValueError):
             h_k(pc, [0.3], 1)
+
+
+def h1_relation_residual(pc: PrecisionContext, z, s):
+    """|H1*(z;s) - H1(z;s) - log s + psi(1/2 + z)| (diagnostic)."""
+    ctx = pc.ctx
+    z = pc.mpc(z)
+    s = pc.mpc(s)
+    lhs = h_1_star(pc, z, s)
+    rhs = h_1(pc, z, s)[0] + ctx.log(s) - ctx.digamma(ctx.mpf(1) / 2 + z)
+    return abs(lhs - rhs)
 
 
 class TestOnePointKernels:

@@ -473,7 +473,7 @@ def test_failed_selftest_exit_code(runner, tmp_path, monkeypatch):
     from gwp1 import acceptance
 
     monkeypatch.setattr(acceptance, "run_all",
-                        lambda level, echo: [acceptance.CriterionResult("x", False, 0.0)])
+                        lambda echo: [acceptance.CriterionResult("x", False, 0.0)])
     result = runner.invoke(main, ["--cache-dir", str(tmp_path), "selftest"])
     assert result.exit_code == 3
     assert json.loads(result.stdout)["results"][0]["pass"] is False
