@@ -16,7 +16,6 @@ from gwp1.ring import (
     FactoredRatFun,
     bernoulli_number,
     bernoulli_poly,
-    pochhammer,
     rat_from_str,
     rat_to_str,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "FactoredRatFun",
     "bernoulli_number",
     "bernoulli_poly",
-    "pochhammer",
     "rat_from_str",
     "rat_to_str",
     "ResolventSeries",

@@ -25,7 +25,7 @@ from fractions import Fraction
 import mpmath
 
 from gwp1.ring.mat2 import Mat2
-from gwp1.ring.numbers import coset_reps, pochhammer
+from gwp1.ring.numbers import coset_reps
 
 DEFAULT_BITS = 128
 SINGULARITY_MARGIN = 1e-6
@@ -509,7 +509,9 @@ def _kernel_series(a, b, s):
     When d is an integer >= 2, (d-2n+1)_(n-1) vanishes for (d+1)/2 <= n < d
     and the ratio into t_d is 0/0: the terms up to n = d//2 and those from
     n = d on are summed as two series, the second started from its
-    Pochhammer value t_d = (-1)^(d-1) s^(2d) / (d (1/2-a)_d (1/2+b)_d)."""
+    Pochhammer value t_d = (-1)^(d-1) s^(2d) / (d (1/2-a)_d (1/2+b)_d),
+    which mpmath's rf gives at a cost that does not grow with d (the float
+    walk reads only the ratios and leaves it out)."""
 
     def build(ctx):
         a_, b_, s_ = _num(ctx, a), _num(ctx, b), _num(ctx, s)
@@ -524,7 +526,8 @@ def _kernel_series(a, b, s):
         m = int(d.real)
         if m < 2 or d != m:
             return [1 / d], lambda n: [ratio(n)]
-        t_m = (-1) ** (m - 1) * s2 ** m / (m * pochhammer(ha, m) * pochhammer(hb, m))
+        t_m = None if ctx is None else (
+            (-1) ** (m - 1) * s2 ** m / (m * ctx.rf(ha, m) * ctx.rf(hb, m)))
         return [1 / d, t_m], lambda n: [ratio(n) if n < m // 2 else 0, ratio(n + m)]
 
     return build
@@ -699,6 +702,32 @@ def h_2_difference_form(pc: PrecisionContext, z1, z2, s):
 # ---------------------------------------------------------------------------
 
 
+def _h1_series(z, s, star=False):
+    """Builder for H1(z; s) from its first term s^2 / ((z-1/2)(z+1/2)):
+
+        t_(n+1)/t_n = 2n (2n+1) s^2 / ((n+1)^2 (z-n-1/2)(z+n+1/2)),  n >= 1.
+
+    With ``star`` the series starts one term earlier, at ln s - psi(1/2 + z),
+    and sums H1*(z; s); the float walk takes that term from mpmath's fp."""
+
+    def build(c):
+        z_, s_ = _num(c, z), _num(c, s)
+        s2, lo, hi = s_ * s_, z_ - 0.5, z_ + 0.5
+
+        def ratios(m):  # t_(n+1)/t_n with n = m + 1
+            n = m + 1
+            return [(2 * n) * (2 * n + 1) * s2 / ((n + 1) ** 2 * (lo - n) * (hi + n))]
+
+        t1 = s2 / (lo * hi)
+        if not star:
+            return [t1], ratios
+        f = c or mpmath.fp
+        t0 = f.log(s_) - f.digamma(0.5 + z_)
+        return [t0], lambda m: [t1 / t0] if m == 0 else ratios(m - 1)
+
+    return build
+
+
 def h_1(pc: PrecisionContext, z, s):
     """One-point kernel by its explicit sum:
 
@@ -713,49 +742,28 @@ def h_1(pc: PrecisionContext, z, s):
     s = pc.mpc(s)
     if s == 0:
         return ctx.mpc(0), ctx.mpf(0)
-
-    def build(c):
-        z_, s_ = _num(c, z), _num(c, s)
-        s2, lo, hi = s_ * s_, z_ - 0.5, z_ + 0.5
-
-        def ratios(m):  # t_(n+1)/t_n with n = m + 1
-            n = m + 1
-            return [(2 * n) * (2 * n + 1) * s2 / ((n + 1) ** 2 * (lo - n) * (hi + n))]
-
-        return [s2 / (lo * hi)], ratios
-
-    _, (total,), (err,) = _drive(pc, build)
+    _, (total,), (err,) = _drive(pc, _h1_series(z, s))
     return _rounded(pc, total, err)
 
 
 def h_1_star(pc: PrecisionContext, z, s):
-    """Gamma-rescaled one-point kernel by the Bessel order-derivative form:
+    """Gamma-rescaled one-point kernel by the digamma identity
 
-        (pi s / cos(pi z)) [ J_(-1/2-z)(2s) d/dz J_(-1/2+z)(2s)
-                             + J_(1/2-z)(2s)  d/dz J_(1/2+z)(2s) ].
+        H1*(z; s) = ln s - psi(1/2 + z) + H1(z; s)
 
-    The order derivative is a central finite difference at step
-    2^(-working_bits/3), evaluated at doubled working precision so the
-    O(h^2) truncation error lands below the caller's full tolerance.
+    (principal branch of ln), summed as one series by :func:`_drive`, so
+    the cancellation of its terms near a zero of H1* sets the working
+    precision.  mpmath's ln and psi carry no certified bound; the guard
+    bits of the working precision absorb their rounding.  H1* has a
+    logarithmic singularity at s = 0 (ValueError).
     """
     _check_not_half_integer(z)
-    inner = PrecisionContext(2 * pc.bits)
-    ctx = inner.ctx
-    z = inner.mpc(z)
-    s = inner.mpc(s)
-    h = ctx.mpf(2) ** (-(inner.bits // 3))
-    half = ctx.mpf(1) / 2
-    y = 2 * s
-
-    def dJ(nu):
-        return (bessel_J(inner, nu + h, y)[0] - bessel_J(inner, nu - h, y)[0]) / (2 * h)
-
-    pref = ctx.pi * s / ctx.cos(ctx.pi * z)
-    val = pref * (
-        bessel_J(inner, -half - z, y)[0] * dJ(-half + z)
-        + bessel_J(inner, half - z, y)[0] * dJ(half + z)
-    )
-    return pc.mpc(val)
+    z = pc.mpc(z)
+    s = pc.mpc(s)
+    if s == 0:
+        raise ValueError("H1*(z; s) has a logarithmic singularity at s = 0")
+    _, (total,), _ = _drive(pc, _h1_series(z, s, star=True))
+    return pc.mpc(total)
 
 
 # ---------------------------------------------------------------------------

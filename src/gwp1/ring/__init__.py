@@ -7,7 +7,6 @@ from gwp1.ring.numbers import (
     rat_to_str,
     bernoulli_number,
     bernoulli_poly,
-    pochhammer,
 )
 from gwp1.ring.poly import MultiPoly
 from gwp1.ring.series import MultiSeries
@@ -19,7 +18,6 @@ __all__ = [
     "rat_to_str",
     "bernoulli_number",
     "bernoulli_poly",
-    "pochhammer",
     "MultiPoly",
     "MultiSeries",
     "FactoredRatFun",

@@ -1,4 +1,4 @@
-"""Exact rational scalars and the Bernoulli / Pochhammer machinery.
+"""Exact rational scalars and the Bernoulli machinery.
 
 The base field is the rationals, realized by :class:`fractions.Fraction`.
 Serialization follows the "p/q" contract (q > 0, gcd-reduced); integers are
@@ -13,7 +13,6 @@ from itertools import permutations
 from math import comb, prod
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -34,24 +33,6 @@ def coset_reps(k: int, first: int = 1):
     the orderings that keep ``first`` in front."""
     for rest in permutations(range(first + 1, first + k)):
         yield (first,) + rest
-
-
-def pochhammer(x, k: int):
-    """Rising factorial (x)_k = x (x+1) ... (x+k-1); the empty product is 1.
-
-    Works for any ring element supporting + and * with ints (Fraction,
-    MultiPoly, mpmath values).
-    """
-    if k < 0:
-        raise ValueError("pochhammer requires k >= 0")
-    if k == 0:
-        if isinstance(x, (int, Fraction)):
-            return _ONE
-        return x * 0 + 1
-    result = x
-    for i in range(1, k):
-        result = result * (x + i)
-    return result
 
 
 def odd_double_factorial(m: int) -> int:

@@ -391,14 +391,33 @@ class TestKPoint:
             h_k(pc, [0.3], 1)
 
 
-def h1_relation_residual(pc: PrecisionContext, z, s):
-    """|H1*(z;s) - H1(z;s) - log s + psi(1/2 + z)| (diagnostic)."""
-    ctx = pc.ctx
-    z = pc.mpc(z)
-    s = pc.mpc(s)
-    lhs = h_1_star(pc, z, s)
-    rhs = h_1(pc, z, s)[0] + ctx.log(s) - ctx.digamma(ctx.mpf(1) / 2 + z)
-    return abs(lhs - rhs)
+def h1_star_oracle(z, s, prec: int = 300):
+    """The Bessel order-derivative form of H1*, from mpmath's own besselj and
+    numerical derivative diff:
+
+        (pi s / cos(pi z)) [ J_(-1/2-z)(2s) d/dz J_(-1/2+z)(2s)
+                             + J_(1/2-z)(2s)  d/dz J_(1/2+z)(2s) ]."""
+    mp = mpmath.mp.clone()
+    mp.prec = prec
+    z, s = mp.mpmathify(z), mp.mpmathify(s)
+    y, h = 2 * s, mp.mpf(1) / 2
+
+    def dJ(nu):
+        return mp.diff(lambda v: mp.besselj(v, y), nu)
+
+    return mp.pi * s / mp.cos(mp.pi * z) * (
+        mp.besselj(-h - z, y) * dJ(-h + z) + mp.besselj(h - z, y) * dJ(h + z))
+
+
+def h1_star_oracle_gap(pc: PrecisionContext, z, s):
+    """Relative gap between h_1_star and the oracle at the same binary point."""
+    z, s = pc.mpc(z), pc.mpc(s)
+    ref = h1_star_oracle(z, s)
+    return abs(h_1_star(pc, z, s) - ref) / abs(ref)
+
+
+# a zero of H1*(1.7; s): its three terms H1, ln s and -psi(2.2) cancel there
+S_STAR = "0.90360691384150572450320889455600679493"
 
 
 class TestOnePointKernels:
@@ -413,8 +432,19 @@ class TestOnePointKernels:
         deriv = (h_1(pc, z, s + h)[0] - h_1(pc, z, s - h)[0]) / (2 * h)
         assert abs(s * deriv - (hyper_G(pc, z, s)[0] - 1)) < ctx.mpf("1e-24")
 
-    def test_relation_between_kernels(self, pc):
-        assert h1_relation_residual(pc, 0.3, 1.1) < tol(pc, slack=12)
+    @pytest.mark.parametrize("z,s", [(0.3, 1.1), (1.7, 5), (-0.8 + 0.3j, 2.2 - 0.4j),
+                                     (0.05, 0.01), (40, 8), (0.236, 150.8)])
+    def test_rescaled_kernel_matches_the_bessel_oracle(self, pc, z, s):
+        assert h1_star_oracle_gap(pc, z, s) <= 2 ** -120
+
+    @pytest.mark.parametrize("offset,lost", [(-12, 38), (-20, 65)])
+    def test_rescaled_kernel_near_a_zero_measures_its_cancellation(self, pc, offset, lost):
+        # s*(1 + 10^-20) cancels 65 bits, more than a fixed guard covers
+        ctx = pc.ctx
+        s = ctx.mpf(S_STAR) * (1 + ctx.mpf(10) ** offset)
+        with precision_log() as log:
+            assert h1_star_oracle_gap(pc, ctx.mpf("1.7"), s) <= 2 ** -120
+        assert log.bits_lost == lost and log.retries >= 1
 
 
 class TestDiagnostics:

@@ -67,9 +67,22 @@ def test_eval_emits_value_and_diagnostics(runner, tmp_path):
     assert "re" in data["value"] and "det" in data["diagnostics"]
 
 
-@pytest.mark.parametrize("op,args,value", [("B", "0.3;0", "1.0"), ("Hk", "0.3;0.7;0", "0.0")])
+# (args, value) at s = 0 for each eval op; None where s = 0 is a singularity
+# (ln s in H1*, J of negative order in D*), which must exit 2
+ZERO_COUPLING = {"G": ("0.3;0", "1.0"), "Gt": ("0.3;0", "1.0"), "j": ("0.3;0", "1.0"),
+                 "J": ("0.3;0", "0.0"), "B": ("0.3;0", "1.0"), "D": ("0.75;0.25;0", "2.0"),
+                 "Dstar": ("0.75;0.25;0", None), "H1": ("0.3;0", "0.0"),
+                 "H1star": ("0.3;0", None), "Hk": ("0.3;0.7;0", "0.0")}
+
+
+@pytest.mark.parametrize("op,args,value", [(op, *ZERO_COUPLING[op]) for op in cli.EVAL_ARITY])
 def test_eval_at_zero_coupling(runner, tmp_path, op, args, value):
-    result = invoke(runner, tmp_path, "--no-cache", "eval", "--op", op, "--args", args)
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path), "--no-cache", "eval",
+                                  "--op", op, "--args", args])
+    if value is None:
+        assert result.exit_code == 2
+        assert result.stdout == "" and result.stderr.count("\n") == 1
+        return
     assert result.exit_code == 0
     data = json.loads(result.output)
     assert data["value"] == {"im": "0.0", "re": value} and data["bits_lost"] == 0
@@ -304,13 +317,22 @@ def test_regime_one_point_q0_compares_with_the_oracle(runner, tmp_path):
     assert "table_match" not in data
 
 
-def test_eval_kernel_series_at_an_integer_gap(runner, tmp_path):
-    # a - b = 2: the term ratio into n = 2 is 0/0 (a ZeroDivisionError before);
-    # the product route gives the same digits at 128 and 256 bits
-    result = invoke(runner, tmp_path, "eval", "--op", "D", "--args", "2.25;0.25;1.1",
+@pytest.mark.parametrize("args,product", [
+    pytest.param(args, product, id=args) for args, product in (
+        ("2.25;0.25;1.1", "-0.06259502610249569584990887527439112695832"),
+        ("120.25;0.25;30", "-5.974800833872858365153208939444277412858"),
+        ("10000000.25;0.25;1", "4.395396928814045540646761101840922258185e-10"))])
+def test_eval_kernel_series_at_an_integer_gap(runner, tmp_path, args, product):
+    # a - b = d: the ratio into n = d is 0/0, so the series restarts from t_d;
+    # d = 120 and 10^7 need t_d formed neither in binary64 nor by a loop over
+    # d.  product: the product route's digits at 128 bits
+    result = invoke(runner, tmp_path, "eval", "--op", "D", "--args", args,
                     "--route", "series")
     assert result.exit_code == 0
-    assert json.loads(result.output)["value"]["re"].startswith("-0.0625950261024956958499088")
+    mp = mpmath.mp.clone()
+    mp.prec = 160
+    value = mp.mpf(json.loads(result.output)["value"]["re"])
+    assert abs(value / mp.mpf(product) - 1) <= mp.mpf(2) ** -120
 
 
 @pytest.mark.parametrize("op,args,route", [

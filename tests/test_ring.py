@@ -1,4 +1,4 @@
-"""Ring-core: axioms on random instances, Bernoulli/Pochhammer machinery,
+"""Ring-core: axioms on random instances, Bernoulli machinery,
 truncation bookkeeping, serialization round-trips."""
 
 from collections import Counter
@@ -14,7 +14,6 @@ from gwp1.ring import (
     MultiPoly,
     MultiSeries,
     bernoulli_poly,
-    pochhammer,
     rat_from_str,
     rat_to_str,
 )
@@ -240,16 +239,6 @@ def test_bernoulli_defining_integral(j):
     diff = upper - anti
     want = MultiPoly(("u",), {(j,): Fraction(1)})
     assert diff == want
-
-
-def test_pochhammer_cases():
-    assert pochhammer(Fraction(1, 2), 2) == Fraction(3, 4)
-    assert pochhammer(Fraction(5), 0) == 1
-    # symbolic: (z - m + 1/2)_{2m} at m = 2 is (z^2 - 9/4)(z^2 - 1/4)
-    z = MultiPoly.variable(("z",), "z")
-    got = pochhammer(z - Fraction(3, 2), 4)
-    want = (z * z - Fraction(9, 4)) * (z * z - Fraction(1, 4))
-    assert got == want
 
 
 def test_series_mul_examples():
